@@ -123,14 +123,3 @@ def test_streaming_sqlite_backend(benchmark, plan, document, tmp_path):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.chunks > 1
     _record("streaming_sqlite", report)
-
-
-def test_streaming_multiprocessing(benchmark, plan, document):
-    def run():
-        return stream_execute(
-            plan, iter_tree_chunks(document, CHUNK_SIZE), workers=2
-        )
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.chunks > 1
-    _record("streaming_workers2", report)

@@ -7,9 +7,7 @@ from .engine import (
     MigrationSpec,
     TableExampleSpec,
     TableProgram,
-    TableRowBatch,
     consumed_projection,
-    generate_table_rows,
     iter_generate_table_rows,
 )
 from .keys import ForeignKeyRule, LinkRule, key_of, learn_link_rules, path_extractor
@@ -21,9 +19,7 @@ __all__ = [
     "MigrationSpec",
     "TableExampleSpec",
     "TableProgram",
-    "TableRowBatch",
     "consumed_projection",
-    "generate_table_rows",
     "iter_generate_table_rows",
     "ForeignKeyRule",
     "LinkRule",

@@ -54,23 +54,6 @@ class MigrationError(Exception):
 _NO_RESULT = SynthesisResult(program=None, success=False, synthesis_time=0.0)
 
 
-@dataclass
-class TableRowBatch:
-    """Rows produced for one table from one document (or document chunk).
-
-    ``key_aliases`` records surrogate keys that were *not* inserted because an
-    earlier row in the same batch had identical content: each dropped key maps
-    to the key that was kept.  The streaming runtime uses this to reconcile
-    keys across chunks; the one-shot engine ignores it (referencing rows that
-    recover a dropped node tuple would have produced the dropped key in either
-    path, so behaviour is unchanged).
-    """
-
-    table: str
-    rows: List[Tuple[Scalar, ...]]
-    key_aliases: Dict[str, str] = field(default_factory=dict)
-
-
 def iter_generate_table_rows(
     schema: TableSchema,
     data_columns: Sequence[str],
@@ -147,31 +130,6 @@ def iter_generate_table_rows(
             continue
         seen_content[content] = primary_key
         yield tuple(row)
-
-
-def generate_table_rows(
-    schema: TableSchema,
-    data_columns: Sequence[str],
-    foreign_key_rules: Sequence[ForeignKeyRule],
-    node_rows: Iterable[NodeTuple],
-) -> TableRowBatch:
-    """Materialized convenience wrapper around :func:`iter_generate_table_rows`.
-
-    Used where a whole batch is needed at once (the multiprocessing chunk
-    fan-out pickles batches between processes); the streaming executor
-    consumes the generator directly.
-    """
-    batch = TableRowBatch(table=schema.name, rows=[])
-    batch.rows.extend(
-        iter_generate_table_rows(
-            schema,
-            data_columns,
-            foreign_key_rules,
-            node_rows,
-            key_aliases=batch.key_aliases,
-        )
-    )
-    return batch
 
 
 def consumed_projection(

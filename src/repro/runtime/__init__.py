@@ -16,12 +16,14 @@ ROADMAP's north star asks for:
   edited spec, whether the cached program and key rules are still valid;
 * :mod:`repro.runtime.incremental` — :func:`learn_incremental`: re-synthesize
   only the tables a spec edit affected, byte-identical to a cold learn;
-* :mod:`repro.runtime.executor` — backend-pluggable whole-tree execution;
+* :mod:`repro.runtime.executor` — the one execution kernel
+  (:func:`~repro.runtime.executor.run_chunk`) and backend-pluggable
+  whole-tree execution over it;
 * :mod:`repro.runtime.backends` — the :class:`ExecutionBackend` protocol and
   the shipped memory / SQLite / columnar (Arrow IPC, Parquet, JSON-columns)
   backends, plus the name registry (see ``docs/backends.md``);
-* :mod:`repro.runtime.streaming` — chunked, bounded-memory execution with
-  cross-chunk key reconciliation and optional multiprocessing fan-out;
+* :mod:`repro.runtime.streaming` — chunked, bounded-memory serial execution
+  with cross-chunk key reconciliation;
 * :mod:`repro.runtime.sharded` — multi-process map/reduce execution:
   contiguous record shards, per-shard dedup in workers, a streaming
   cross-shard reducer, validated spill files;
@@ -132,7 +134,6 @@ from .streaming import (
     clone_subtree,
     count_json_records,
     count_xml_records,
-    execute_plan_on_chunk,
     iter_json_chunks,
     iter_tree_chunks,
     iter_xml_chunks,
@@ -208,7 +209,6 @@ __all__ = [
     "Chunk",
     "ChunkMerger",
     "clone_subtree",
-    "execute_plan_on_chunk",
     "iter_json_chunks",
     "iter_tree_chunks",
     "iter_xml_chunks",

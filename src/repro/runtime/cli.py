@@ -422,6 +422,7 @@ def _execution_mode(args, spec: Spec) -> Tuple[str, Any]:
             ("--shard-retries", getattr(args, "shard_retries", None)),
             ("--inject-faults", getattr(args, "inject_faults", None)),
             ("--remote-workers", getattr(args, "remote_workers", None)),
+            ("--workers", args.workers),
         ):
             if value is not None:
                 raise CLIError(f"{flag} only applies to sharded execution (add --shards N)")
@@ -592,19 +593,7 @@ def _execute(args, spec: Spec, plan: MigrationPlan) -> Tuple[ExecutionReport, Op
             remote_workers = getattr(args, "remote_workers", None)
             if remote_workers is None:
                 remote_workers = spec.get("remote_workers")
-            transport = None
-            if remote_workers:
-                if isinstance(remote_workers, str):
-                    addresses = [
-                        piece.strip()
-                        for piece in remote_workers.split(",")
-                        if piece.strip()
-                    ]
-                else:
-                    addresses = [str(piece) for piece in remote_workers]
-                if not addresses:
-                    raise CLIError("--remote-workers needs at least one address")
-                transport = SocketTransport(addresses)
+            transport = SocketTransport(remote_workers) if remote_workers else None
             try:
                 report = shard_execute(
                     plan,
@@ -615,11 +604,7 @@ def _execute(args, spec: Spec, plan: MigrationPlan) -> Tuple[ExecutionReport, Op
                     workers=workers,
                     checkpoint=checkpoint,
                     resume=resume,
-                    retry_policy=(
-                        RetryPolicy(max_attempts=shard_retries + 1)
-                        if shard_retries is not None
-                        else None
-                    ),
+                    retry_policy=RetryPolicy.for_retries(shard_retries),
                     shard_timeout=shard_timeout,
                     faults=fault_plan,
                     transport=transport,
@@ -628,10 +613,7 @@ def _execute(args, spec: Spec, plan: MigrationPlan) -> Tuple[ExecutionReport, Op
                 if transport is not None:
                     transport.close()
         elif mode == "streaming":
-            workers = args.workers if args.workers is not None else spec.get_int("workers", 0)
-            report = stream_execute(
-                plan, spec.document_chunks(chunk_size), backend, workers=workers
-            )
+            report = stream_execute(plan, spec.document_chunks(chunk_size), backend)
         else:
             report = execute_plan(plan, spec.full_document(), backend)
     except Exception:
@@ -959,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--workers",
             type=int,
-            help="worker processes (streaming: chunk fan-out; sharded: shard "
-            "pool, default one per shard up to the CPU count)",
+            help="sharded only: worker processes in the shard pool (default "
+            "one per shard up to the CPU count)",
         )
         sub.add_argument(
             "--dry-run",

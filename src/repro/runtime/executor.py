@@ -5,27 +5,25 @@ The runtime separates *what to compute* (a :class:`MigrationPlan`) from
 — see :mod:`repro.runtime.backends` for the protocol, the shipped
 memory/SQLite/columnar implementations and the name registry).
 
-:func:`execute_plan` is the whole-tree entry point: it runs every table's
-program with the cross-product-free optimizer, generates keys exactly as the
-one-shot engine does, and loads the backend in foreign-key dependency order.
-For bounded-memory execution over large documents use
-:func:`repro.runtime.streaming.stream_execute`; for multi-process fan-out
-over record shards use :func:`repro.runtime.sharded.shard_execute`.
+:func:`run_chunk` is the one execution kernel — how one chunk of a document
+becomes rows in a sink: every table's program runs with the
+cross-product-free optimizer, keys are generated exactly as the one-shot
+engine does, and rows are emitted in foreign-key dependency order.  Three
+drivers call it: :func:`execute_plan` (whole tree = one chunk) and
+:func:`repro.runtime.streaming.stream_execute` (bounded memory, chunk after
+chunk) share the serial driver :func:`run_serial`; :func:`repro.runtime.
+sharded.shard_execute` runs it per record shard in worker processes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..hdt.node import Scalar
 from ..hdt.tree import HDT
-from ..migration.engine import (
-    TableRowBatch,
-    consumed_projection,
-    iter_generate_table_rows,
-)
+from ..migration.engine import consumed_projection, iter_generate_table_rows
 from ..optimizer.optimize import ExecutionPlan, iter_execute_nodes
 from ..optimizer.optimize import plan as compile_program
 from ..relational.database import Database
@@ -42,6 +40,8 @@ __all__ = [
     "ExecutionReport",
     "compile_plan_executions",
     "stream_table_rows",
+    "run_chunk",
+    "run_serial",
     "execute_plan",
     "canonical_table_rows",
     "canonical_database_rows",
@@ -74,17 +74,6 @@ class ChunkMerger:
         self.schema = schema
         self._tables = {t.name: t for t in schema.tables}
         self._state = {t.name: _TableMergeState() for t in schema.tables}
-
-    def merge(self, batch: TableRowBatch) -> List[Row]:
-        """Rows of this batch that should actually be inserted.
-
-        Materialized wrapper around :meth:`iter_merge` +
-        :meth:`absorb_aliases` (used by the multiprocessing fan-out, which
-        ships whole batches between processes).
-        """
-        out = list(self.iter_merge(batch.table, batch.rows))
-        self.absorb_aliases(batch.table, batch.key_aliases)
-        return out
 
     def iter_merge(self, table_name: str, rows: Iterable[Row]) -> Iterator[Row]:
         """Stream-filter rows to the ones that should actually be inserted.
@@ -260,7 +249,7 @@ def stream_table_rows(
     tree: HDT,
     merger: ChunkMerger,
     key_aliases: Dict[str, str],
-    execution: Optional[ExecutionPlan] = None,
+    execution: ExecutionPlan,
 ) -> Iterator[Row]:
     """The fully-fused per-table pipeline, as one lazy row stream.
 
@@ -269,14 +258,9 @@ def stream_table_rows(
     dropped-key aliases into ``key_aliases``) → ``ChunkMerger.iter_merge``
     (cross-batch dedup and foreign-key rewriting).  Nothing is materialized;
     the caller must exhaust the stream and then pass ``key_aliases`` to
-    :meth:`ChunkMerger.absorb_aliases`.  Pass a pre-compiled ``execution``
-    (see :func:`compile_plan_executions`) to skip per-call planning.
+    :meth:`ChunkMerger.absorb_aliases` (:func:`run_chunk` does both).
+    ``execution`` is the table's entry of :func:`compile_plan_executions`.
     """
-    if execution is None:
-        projection = consumed_projection(
-            table_schema, table_plan.data_columns, table_plan.program.arity
-        )
-        execution = compile_program(table_plan.program, projection)
     node_rows = iter_execute_nodes(table_plan.program, tree, execution=execution)
     rows = iter_generate_table_rows(
         table_schema,
@@ -286,6 +270,75 @@ def stream_table_rows(
         key_aliases=key_aliases,
     )
     return merger.iter_merge(table_schema.name, rows)
+
+
+def run_chunk(
+    plan: MigrationPlan,
+    executions: Dict[str, ExecutionPlan],
+    tree: HDT,
+    merger: ChunkMerger,
+    emit: Callable[[str, Iterator[Row]], object],
+) -> None:
+    """How one chunk of a document becomes rows in a sink — the one kernel
+    under whole-tree, streamed and sharded execution.
+
+    For each table in foreign-key dependency order: build the fused row
+    stream, hand it to ``emit(table_name, rows)`` (which must exhaust it),
+    then fold the keys the stream dropped into ``merger`` so the next table's
+    foreign-key references resolve.  ``merger`` carries the state across the
+    chunks of one execution; ``executions`` is
+    :func:`compile_plan_executions` of ``plan``.
+    """
+    for table_schema in plan.execution_order():
+        name = table_schema.name
+        key_aliases: Dict[str, str] = {}
+        emit(
+            name,
+            stream_table_rows(
+                table_schema, plan.table_plan(name), tree, merger, key_aliases, executions[name]
+            ),
+        )
+        merger.absorb_aliases(name, key_aliases)
+
+
+def run_serial(
+    plan: MigrationPlan,
+    trees: Iterable[HDT],
+    backend: Optional[ExecutionBackend] = None,
+) -> ExecutionReport:
+    """The serial driver: begin → every tree through :func:`run_chunk` →
+    finalize, all in this process.
+
+    :func:`execute_plan` is the one-tree case and
+    :func:`~repro.runtime.streaming.stream_execute` the many-chunk case.  Any
+    failure aborts the backend: ``close()`` before ``finalize()`` lets it
+    release resources and scrub this run's partial output (``close()`` is
+    idempotent, so callers that also clean up are unaffected).
+    """
+    backend = backend if backend is not None else MemoryBackend()
+    start = time.perf_counter()
+    counts = {t.name: 0 for t in plan.schema.tables}
+    report = ExecutionReport(backend=backend, per_table_rows=counts, chunks=0)
+
+    def emit(table_name: str, rows: Iterator[Row]) -> None:
+        counts[table_name] += backend.insert_rows(table_name, rows)
+
+    try:
+        backend.begin(plan.schema)
+        merger = ChunkMerger(plan.schema)
+        executions = compile_plan_executions(plan)  # once per plan, not per chunk
+        for tree in trees:
+            run_chunk(plan, executions, tree, merger, emit)
+            report.chunks += 1
+        backend.finalize()
+    except BaseException:
+        try:
+            backend.close()
+        except Exception:
+            pass  # the failure being propagated is the one worth reporting
+        raise
+    report.execution_time = time.perf_counter() - start
+    return report
 
 
 def execute_plan(
@@ -314,30 +367,7 @@ def execute_plan(
     >>> report.per_table_rows["journal"]
     1
     """
-    backend = backend if backend is not None else MemoryBackend()
-    start = time.perf_counter()
-    backend.begin(plan.schema)
-    merger = ChunkMerger(plan.schema)
-    executions = compile_plan_executions(plan)
-    report = ExecutionReport(backend=backend)
-    for table_schema in plan.execution_order():
-        table_plan = plan.table_plan(table_schema.name)
-        key_aliases: Dict[str, str] = {}
-        rows = stream_table_rows(
-            table_schema,
-            table_plan,
-            dataset,
-            merger,
-            key_aliases,
-            execution=executions[table_schema.name],
-        )
-        report.per_table_rows[table_schema.name] = backend.insert_rows(
-            table_schema.name, rows
-        )
-        merger.absorb_aliases(table_schema.name, key_aliases)
-    backend.finalize()
-    report.execution_time = time.perf_counter() - start
-    return report
+    return run_serial(plan, (dataset,), backend)
 
 
 def canonical_table_rows(

@@ -17,24 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..dsl.serialize import schema_to_json
-from ..hdt.tree import HDT
 from ..migration.engine import MigrationSpec
 from .plan import MigrationPlan
 
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def tree_fingerprint_items(tree: HDT) -> Iterator[str]:
-    """A canonical line-per-node rendering of a tree (preorder, identity-free).
-
-    Thin delegate kept for backwards compatibility — the canonical
-    implementation lives on :meth:`repro.hdt.tree.HDT.fingerprint_items` so
-    the synthesis layer can address trees without importing the runtime.
-    """
-    return tree.fingerprint_items()
 
 
 def spec_fingerprint(spec: MigrationSpec) -> str:
@@ -43,7 +32,7 @@ def spec_fingerprint(spec: MigrationSpec) -> str:
     digest.update(
         json.dumps(schema_to_json(spec.schema), sort_keys=True).encode("utf-8")
     )
-    for item in tree_fingerprint_items(spec.example_tree):
+    for item in spec.example_tree.fingerprint_items():
         digest.update(item.encode("utf-8"))
         digest.update(b"\n")
     for example in spec.table_examples:

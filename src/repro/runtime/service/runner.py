@@ -41,6 +41,7 @@ from ..plan_cache import PlanCache, spec_fingerprint
 from ..sharded import ShardDegradedError, shard_execute
 from ..streaming import DEFAULT_CHUNK_SIZE, stream_execute
 from ..supervisor import RetryPolicy
+from ..transport import SocketTransport
 from ..verify import read_target_indexes, read_target_rows, verify_rows
 from .checkpoint import ShardCheckpoint
 from .jobs import TERMINAL_STATES, Job, JobError, JobStore
@@ -316,14 +317,12 @@ class JobRunner:
     ) -> ExecutionReport:
         params = job.params
         chunk_size = int(params.get("chunk_size") or spec.get_int("chunk_size", DEFAULT_CHUNK_SIZE))
-        workers = params.get("workers", spec.get("workers"))
-        workers = None if workers is None else int(workers)
         if params.get("streaming"):
-            return stream_execute(
-                plan, spec.document_chunks(chunk_size), backend, workers=workers or 0
-            )
+            return stream_execute(plan, spec.document_chunks(chunk_size), backend)
         if params.get("whole_tree"):
             return execute_plan(plan, spec.full_document(), backend)
+        workers = params.get("workers", spec.get("workers"))
+        workers = None if workers is None else int(workers)
         raw_shards = params.get("shards") or spec.get("shards") or 4
         if isinstance(raw_shards, str) and raw_shards.strip().lower() == "auto":
             shards: object = "auto"
@@ -333,24 +332,8 @@ class JobRunner:
             os.path.join(self.state_dir, "checkpoints", job.id)
         )
         shard_timeout = params.get("shard_timeout")
-        shard_retries = params.get("shard_retries")
-        retry_policy = (
-            RetryPolicy(max_attempts=max(1, int(shard_retries) + 1))
-            if shard_retries is not None
-            else None
-        )
         remote_workers = params.get("remote_workers") or spec.get("remote_workers")
-        transport = None
-        if remote_workers:
-            from ..transport import SocketTransport
-
-            if isinstance(remote_workers, str):
-                addresses = [
-                    piece.strip() for piece in remote_workers.split(",") if piece.strip()
-                ]
-            else:
-                addresses = [str(piece) for piece in remote_workers]
-            transport = SocketTransport(addresses)
+        transport = SocketTransport(remote_workers) if remote_workers else None
         try:
             return shard_execute(
                 plan,
@@ -362,7 +345,7 @@ class JobRunner:
                 checkpoint=checkpoint,
                 resume=job.resumes > 0,
                 progress=progress,
-                retry_policy=retry_policy,
+                retry_policy=RetryPolicy.for_retries(params.get("shard_retries")),
                 shard_timeout=None if shard_timeout is None else float(shard_timeout),
                 faults=params.get("inject_faults"),
                 transport=transport,

@@ -1,18 +1,16 @@
 """Sharded multi-process plan execution: partition → map → streaming reduce.
 
 :func:`~repro.runtime.streaming.stream_execute` bounds memory but executes
-chunks one at a time (its worker mode parallelizes chunk *execution*, yet
-every chunk's full row batches travel back to the parent, which performs all
-deduplication itself).  This module scales the run path across processes
-with a map/reduce shape instead:
+chunks one at a time, in one process.  This module scales the run path
+across processes with a map/reduce shape:
 
 1. **Partition** — the document's records (the root's direct children, the
    same unit the streaming layer chunks on) are split into ``shards``
    *contiguous* ranges (:func:`partition_records`).  Contiguity is what
    keeps output deterministic: shard-major order equals document order.
 2. **Map** — each shard executes in its own worker process: the shard's
-   records stream through the per-table fused pipeline
-   (:func:`~repro.runtime.executor.stream_table_rows`) into a *shard-local*
+   records stream chunk by chunk through the same kernel the serial paths
+   run (:func:`~repro.runtime.executor.run_chunk`) into a *shard-local*
    :class:`~repro.runtime.executor.ChunkMerger`, so intra-shard duplicates
    are dropped and intra-shard surrogate keys reconciled before anything
    leaves the worker.  Deduplicated rows spill to a per-shard file in
@@ -74,12 +72,7 @@ from ..hdt.tree import HDT
 from ..hdt.xml_plugin import XMLRecordIndex, build_xml_record_index
 from .backends.base import ExecutionBackend, Row
 from .backends.memory import MemoryBackend
-from .executor import (
-    ChunkMerger,
-    ExecutionReport,
-    compile_plan_executions,
-    stream_table_rows,
-)
+from .executor import ChunkMerger, ExecutionReport, compile_plan_executions, run_chunk
 from .faults import FaultContext, FaultPlan, activation as fault_activation, resolve_plan
 from .plan import MigrationPlan
 from .streaming import (
@@ -722,9 +715,10 @@ def execute_shard(
     """Execute one shard's record window and spill its deduplicated rows.
 
     The shard runs exactly like serial :func:`~repro.runtime.streaming.
-    stream_execute` over its chunks — per-table fused pipelines through a
-    shard-local :class:`ChunkMerger` — except rows land in the spill file
-    instead of a backend.  Returns the end manifest.
+    stream_execute` over its chunks — the same :func:`~repro.runtime.executor.
+    run_chunk` kernel through a shard-local :class:`ChunkMerger` — except
+    rows land, keys namespaced, in the spill file instead of a backend.
+    Returns the end manifest.
 
     ``faults``/``attempt``/``in_process`` wire the fault-injection harness
     into this attempt (worker-start and spill-write sites); a ``None`` plan
@@ -742,29 +736,20 @@ def execute_shard(
     if context is not None:
         context.worker_start()
     merger = ChunkMerger(plan.schema)
-    order = plan.execution_order()
     key_columns = _surrogate_key_columns(plan.schema)
     key_prefix = f"s{spec.index}:"
     writer = SpillWriter(spill_path, spec.index, plan_fingerprint, faults=context)
+
+    def emit(table_name: str, rows) -> None:
+        indices = key_columns.get(table_name)
+        if indices:
+            rows = _namespace_keys(rows, key_prefix, indices)
+        writer.write_rows(table_name, rows)
+
     chunks = 0
     records = 0
     for chunk in source.iter_chunks(spec.start, spec.stop, chunk_size):
-        for table_schema in order:
-            table_plan = plan.table_plan(table_schema.name)
-            key_aliases: Dict[str, str] = {}
-            rows = stream_table_rows(
-                table_schema,
-                table_plan,
-                chunk.tree,
-                merger,
-                key_aliases,
-                execution=executions[table_schema.name],
-            )
-            indices = key_columns.get(table_schema.name)
-            if indices:
-                rows = _namespace_keys(rows, key_prefix, indices)
-            writer.write_rows(table_schema.name, rows)
-            merger.absorb_aliases(table_schema.name, key_aliases)
+        run_chunk(plan, executions, chunk.tree, merger, emit)
         chunks += 1
         records += chunk.records
     return writer.finish(chunks=chunks, records=records)

@@ -38,16 +38,14 @@ Chunk iterators:
 * :func:`iter_tree_chunks` — chunk an already-built HDT by cloning record
   subtrees (used by tests and benchmarks).
 
-:func:`stream_execute` optionally fans chunks out to a multiprocessing pool:
-chunks are parsed in the parent (I/O bound), executed in workers (CPU bound),
-and merged back in arrival order so results are deterministic.
+:func:`stream_execute` is serial: one process parses, executes and merges
+chunk after chunk.  Parallel execution over the same chunks is
+:func:`repro.runtime.sharded.shard_execute`.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple, Union
@@ -57,17 +55,7 @@ from ..hdt.node import Node, Scalar
 from ..hdt.tree import HDT
 from ..hdt.xml_plugin import _coerce as coerce_xml_scalar
 from ..hdt.xml_plugin import element_to_node
-from ..migration.engine import TableRowBatch, generate_table_rows
-from ..optimizer.optimize import ExecutionPlan, iter_execute_nodes
-from .executor import (
-    ChunkMerger,
-    ExecutionBackend,
-    ExecutionReport,
-    MemoryBackend,
-    Row,
-    compile_plan_executions,
-    stream_table_rows,
-)
+from .executor import ExecutionBackend, ExecutionReport, run_serial
 from .plan import MigrationPlan
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -449,64 +437,15 @@ def _iter_json_records(value: Any) -> Iterator[Tuple[str, int, Any]]:
 # --------------------------------------------------------------------------- #
 
 
-def execute_plan_on_chunk(
-    plan: MigrationPlan,
-    tree: HDT,
-    executions: Optional[Dict[str, ExecutionPlan]] = None,
-) -> Dict[str, TableRowBatch]:
-    """Run every table's program on one chunk (no cross-chunk state).
-
-    Uses the fused, projection-aware executor but materializes the per-chunk
-    batches (bounded by the chunk size) — this is the unit the
-    multiprocessing fan-out pickles back to the parent; the serial path
-    streams instead (see :func:`stream_execute`).  Pass pre-compiled
-    ``executions`` (:func:`~repro.runtime.executor.compile_plan_executions`)
-    when running many chunks, so programs are planned once, not per chunk.
-    """
-    if executions is None:
-        executions = compile_plan_executions(plan)
-    batches: Dict[str, TableRowBatch] = {}
-    for table_schema in plan.execution_order():
-        table_plan = plan.table_plan(table_schema.name)
-        node_rows = iter_execute_nodes(
-            table_plan.program, tree, execution=executions[table_schema.name]
-        )
-        batches[table_schema.name] = generate_table_rows(
-            table_schema, table_plan.data_columns, table_plan.foreign_key_rules, node_rows
-        )
-    return batches
-
-
-# The plan is invariant across chunks; ship it to each worker once via the
-# pool initializer (instead of re-pickling it into every task) and compile
-# its programs once per worker.
-_WORKER_PLAN: Optional[MigrationPlan] = None
-_WORKER_EXECUTIONS: Optional[Dict[str, ExecutionPlan]] = None
-
-
-def _init_worker(plan: MigrationPlan) -> None:
-    global _WORKER_PLAN, _WORKER_EXECUTIONS
-    _WORKER_PLAN = plan
-    _WORKER_EXECUTIONS = compile_plan_executions(plan)
-
-
-def _execute_chunk_task(tree: HDT) -> Dict[str, TableRowBatch]:
-    assert _WORKER_PLAN is not None, "worker pool was not initialized with a plan"
-    return execute_plan_on_chunk(_WORKER_PLAN, tree, _WORKER_EXECUTIONS)
-
-
 def stream_execute(
     plan: MigrationPlan,
     chunks: Iterable[Chunk],
     backend: Optional[ExecutionBackend] = None,
-    *,
-    workers: int = 0,
 ) -> ExecutionReport:
     """Execute a plan over a chunk stream with bounded memory.
 
-    ``workers > 1`` fans chunk execution out to a ``multiprocessing`` pool;
-    merging stays in the parent and processes results in chunk order, so the
-    output is identical to the serial path.
+    The per-table pipeline is one generator chain from tuple enumeration to
+    backend insert; even within a chunk no row list is materialized.
 
     Examples
     --------
@@ -519,56 +458,4 @@ def stream_execute(
     >>> report.total_rows, report.chunks > 1
     (30, True)
     """
-    backend = backend if backend is not None else MemoryBackend()
-    start = time.perf_counter()
-    backend.begin(plan.schema)
-    merger = ChunkMerger(plan.schema)
-    order = plan.execution_order()
-    report = ExecutionReport(backend=backend, chunks=0)
-    report.per_table_rows = {t.name: 0 for t in plan.schema.tables}
-
-    def _consume(batches: Dict[str, TableRowBatch]) -> None:
-        for table_schema in order:
-            rows = merger.merge(batches[table_schema.name])
-            if rows:
-                report.per_table_rows[table_schema.name] += backend.insert_rows(
-                    table_schema.name, rows
-                )
-        report.chunks += 1
-
-    def _consume_streamed(tree: HDT) -> None:
-        # Serial path: the per-table pipeline is one generator chain from
-        # tuple enumeration to backend insert; even within a chunk no row
-        # list is materialized.
-        for table_schema in order:
-            table_plan = plan.table_plan(table_schema.name)
-            key_aliases: Dict[str, str] = {}
-            rows = stream_table_rows(
-                table_schema,
-                table_plan,
-                tree,
-                merger,
-                key_aliases,
-                execution=executions[table_schema.name],
-            )
-            report.per_table_rows[table_schema.name] += backend.insert_rows(
-                table_schema.name, rows
-            )
-            merger.absorb_aliases(table_schema.name, key_aliases)
-        report.chunks += 1
-
-    if workers and workers > 1:
-        # Workers compile their own executions in _init_worker.
-        with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(plan,)
-        ) as pool:
-            for batches in pool.imap(_execute_chunk_task, (chunk.tree for chunk in chunks)):
-                _consume(batches)
-    else:
-        executions = compile_plan_executions(plan)  # once per plan, not per chunk
-        for chunk in chunks:
-            _consume_streamed(chunk.tree)
-
-    backend.finalize()
-    report.execution_time = time.perf_counter() - start
-    return report
+    return run_serial(plan, (chunk.tree for chunk in chunks), backend)

@@ -104,6 +104,15 @@ class RetryPolicy:
     jitter: float = 0.25
     seed: int = 0
 
+    @classmethod
+    def for_retries(cls, retries: Optional[int]) -> "RetryPolicy":
+        """The policy for "``retries`` re-dispatches after the first attempt"
+        (the ``--shard-retries`` / job ``shard_retries`` value); ``None`` is
+        the default policy."""
+        if retries is None:
+            return cls()
+        return cls(max_attempts=max(1, int(retries) + 1))
+
     def is_retryable(self, error: BaseException) -> bool:
         """Classify ``error``: transient (worth re-dispatching) or permanent.
 

@@ -52,7 +52,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .faults import FaultPlan
 from .plan import MigrationPlan
@@ -384,19 +384,25 @@ class SocketTransport(ShardTransport):
     handshake rejection (plan fingerprint mismatch) condemns the endpoint
     permanently on the spot (docs/distributed.md#handshake-and-fingerprint-rules).
 
-    ``timeout`` bounds every socket read/write (defaults to the job's
-    ``shard_timeout`` when unset); ``connect_timeout`` bounds dialing.
+    ``addresses`` is a sequence of worker addresses or the comma-separated
+    string form the CLI and job specs carry.  ``timeout`` bounds every
+    socket read/write (defaults to the job's ``shard_timeout`` when unset);
+    ``connect_timeout`` bounds dialing.
     """
 
     name = "socket"
 
     def __init__(
         self,
-        addresses: Sequence[str],
+        addresses: Union[str, Sequence[str]],
         *,
         timeout: Optional[float] = None,
         connect_timeout: float = 10.0,
     ) -> None:
+        if isinstance(addresses, str):
+            addresses = [piece.strip() for piece in addresses.split(",") if piece.strip()]
+        else:
+            addresses = [str(address) for address in addresses]
         if not addresses:
             raise TransportError("SocketTransport needs at least one worker address")
         for address in addresses:

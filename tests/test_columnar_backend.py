@@ -279,6 +279,36 @@ def test_sharded_reduce_failure_leaves_clean_directory(tmp_path, monkeypatch):
         read_table_rows(str(out), plan.schema)
 
 
+@pytest.mark.parametrize("path", ["whole", "streamed", "sharded"])
+def test_backend_failure_mid_run_leaves_clean_directory(tmp_path, path):
+    """The abort contract is one contract: a backend that fails mid-run is
+    closed before the error propagates, on every execution path, so none of
+    this run's half-written files stay in the output directory."""
+    from repro.runtime import iter_tree_chunks, shard_execute, stream_execute
+
+    class FailingBackend(ColumnarBackend):
+        inserts = 0
+
+        def insert_rows(self, table, rows):
+            self.inserts += 1
+            if self.inserts == 3:
+                raise OSError("disk full (injected)")
+            return super().insert_rows(table, rows)
+
+    plan = MigrationPlan.learn(dblp.dataset(scale=3).migration_spec())
+    document = dblp.dataset(scale=3).generate(6)
+    out = tmp_path / "columnar"
+    backend = FailingBackend(str(out), batch_size=4, file_format="json")
+    with pytest.raises(OSError, match="injected"):
+        if path == "whole":
+            execute_plan(plan, document, backend)
+        elif path == "streamed":
+            stream_execute(plan, iter_tree_chunks(document, 5), backend)
+        else:
+            shard_execute(plan, document, backend, shards=2, workers=1)
+    assert os.listdir(out) == []
+
+
 # --------------------------------------------------------------------------- #
 # The registry
 # --------------------------------------------------------------------------- #

@@ -308,18 +308,6 @@ def test_streaming_json_file_matches_whole_tree(tmp_path, dblp_bundle, dblp_plan
         )
 
 
-def test_streaming_multiprocessing_fanout_matches_serial(dblp_bundle, dblp_plan):
-    plan = dblp_plan  # full plan, link tables included
-    document = dblp_bundle.generate(60)
-    serial = stream_execute(plan, iter_tree_chunks(document, 25))
-    parallel = stream_execute(plan, iter_tree_chunks(document, 25), workers=2)
-    for name in plan.schema.table_names:
-        assert (
-            serial.backend.database.table(name).rows
-            == parallel.backend.database.table(name).rows
-        )
-
-
 def test_streaming_reconciles_surrogate_keys_across_chunks(library_plan):
     """The same logical row in different chunks must keep one key, and later
     foreign-key references must be rewritten to it."""

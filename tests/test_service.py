@@ -7,7 +7,6 @@ post-run verification layer, and the new CLI surface (``--dry-run``,
 ``--report-json``, ``repro verify``).
 """
 
-import importlib
 import json
 import os
 import sqlite3
@@ -15,7 +14,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 
@@ -218,6 +216,20 @@ def test_runner_dry_run_then_warm_plan_reuse(runner):
     second = _await(runner, runner.submit("migrate", dict(SPEC_PARAMS, dry_run=True)).id)
     assert second.state == "succeeded", second.error
     assert second.provenance == "warm (daemon memory)"
+
+
+def test_runner_streaming_job_ignores_workers(runner):
+    """``workers`` is a default shared across modes: a streamed job takes it
+    without complaint and reports exactly what it reports without it."""
+    params = {"spec": {"dataset": "dblp", "scale": 3}, "streaming": True, "dry_run": True}
+    plain = _await(runner, runner.submit("migrate", params).id)
+    pooled = _await(runner, runner.submit("migrate", dict(params, workers=2)).id)
+    assert plain.state == pooled.state == "succeeded", (plain.error, pooled.error)
+    varying = ("execution_time_s", "provenance")
+    assert {k: v for k, v in pooled.report.items() if k not in varying} == {
+        k: v for k, v in plain.report.items() if k not in varying
+    }
+    assert plain.report["total_rows"] == sum(dblp.ground_truth_counts(3).values())
 
 
 def test_runner_migrate_sqlite_then_verify_job(runner):
@@ -488,23 +500,3 @@ def test_cli_verify_usage_errors(tmp_path, capsys):
         == 1
     )
     assert "not an execution report" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------------- #
-# The deprecated sqlite_backend shim
-# --------------------------------------------------------------------------- #
-
-
-def test_sqlite_backend_shim_warns_on_import():
-    import repro.runtime.sqlite_backend as shim
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        importlib.reload(shim)
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "repro.runtime.backends" in str(w.message)
-        for w in caught
-    )
-    # The re-exports still work: the shim deprecates, it does not break.
-    assert shim.SQLiteBackend is not None

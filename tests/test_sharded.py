@@ -518,6 +518,10 @@ def _demo_spec(tmp_path, **extra):
         (["--chunk-size", "5"], "--chunk-size and --workers only apply"),
         (["--workers", "2"], "--chunk-size and --workers only apply"),
         (["--no-stream", "--chunk-size", "5"], "--chunk-size and --workers only apply"),
+        (
+            ["--streaming", "--workers", "2"],
+            "--workers only applies to sharded execution (add --shards N)",
+        ),
     ],
 )
 def test_cli_rejects_conflicting_execution_flags(tmp_path, capsys, flags, message):
