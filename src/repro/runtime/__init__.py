@@ -45,12 +45,16 @@ ROADMAP's north star asks for:
   source and streams validated spill frames back;
 * :mod:`repro.runtime.verify` — post-run verification: row-count and
   PK/FK-integrity invariants re-derived against the produced target;
-* :mod:`repro.runtime.service` — the ``repro serve`` daemon: an HTTP/JSON
-  job API with warm plan caches, per-job shard checkpoints and
-  resume-after-crash semantics (see ``docs/service.md``);
-* :mod:`repro.runtime.cli` — ``python -m repro learn|run|migrate|verify|serve``
-  (``--incremental``, ``--jobs``, ``--streaming``, ``--shards``,
-  ``--backend``, ``--dry-run``, ``--resume``, ...).
+* :mod:`repro.runtime.spec` / :mod:`repro.runtime.run` — the one run API
+  under both front-ends: a :class:`Spec` plus overrides becomes a plan
+  (:func:`acquire_plan`), a validated run (:func:`resolve_run`), a driven,
+  fail-closed execution (:func:`run_plan`) or a verdict
+  (:func:`verify_target`);
+* :mod:`repro.runtime.cli` — ``python -m repro learn|run|migrate|verify|
+  serve|worker``: argparse and printing over that API;
+* :mod:`repro.runtime.service` — the ``repro serve`` daemon: HTTP/JSON jobs
+  over the same API, with warm plan caches, per-job shard checkpoints and
+  resume-after-crash semantics (see ``docs/service.md``).
 
 The full architecture is documented in ``docs/runtime.md``.
 
@@ -93,6 +97,8 @@ from .context_store import ContextStore, SpecSnapshot
 from .incremental import IncrementalReport, learn_incremental
 from .plan import MigrationPlan, TablePlan
 from .plan_cache import PlanCache, spec_fingerprint
+from .run import RunDefaults, acquire_plan, resolve_run, run_plan, verify_target
+from .spec import Spec, UsageError
 from .backends.null import NullBackend
 from .faults import FaultError, FaultPlan, FaultRule
 from .sharded import (
@@ -194,6 +200,13 @@ __all__ = [
     "TablePlan",
     "PlanCache",
     "spec_fingerprint",
+    "Spec",
+    "UsageError",
+    "RunDefaults",
+    "acquire_plan",
+    "resolve_run",
+    "run_plan",
+    "verify_target",
     "ContextStore",
     "SpecSnapshot",
     "IncrementalReport",

@@ -18,9 +18,9 @@ The package splits along the job lifecycle:
   restart (jobs that were ``running`` when the process died surface as
   ``interrupted`` and can be resumed);
 * :mod:`~repro.runtime.service.runner` — :class:`JobRunner`: the bounded
-  thread pool that executes jobs through the same code paths as the CLI
-  (sharded map/reduce, streaming, whole-tree; dry runs; verification),
-  with cooperative cancellation between shards;
+  thread pool that executes jobs by calling :mod:`repro.runtime.run` — the
+  run API the CLI calls, so a job param and the flag of the same name get
+  the same verdict — with cooperative cancellation between shards;
 * :mod:`~repro.runtime.service.server` — :class:`MigrationService` +
   :func:`serve`: the HTTP surface (submit, poll, report, cancel, resume,
   health, shutdown).

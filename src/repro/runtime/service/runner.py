@@ -1,5 +1,9 @@
 """The job runner: executes service jobs on a bounded worker pool.
 
+A job is a request to :mod:`repro.runtime.run` — the ``acquire_plan`` →
+``resolve_run`` → ``run_plan`` / ``verify_target`` path the CLI takes, with
+job params where the CLI has flags.  What lives here is job bookkeeping.
+
 One :class:`JobRunner` lives inside the daemon process and owns everything a
 single CLI invocation would have had to rebuild from scratch:
 
@@ -24,25 +28,19 @@ as cleanly as an interrupted one.
 
 from __future__ import annotations
 
+import functools
 import os
-import shutil
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..backends import OUTPUT_KIND, create_backend
-from ..backends.base import ExecutionBackend
-from ..backends.null import NullBackend
-from ..executor import ExecutionReport, execute_plan
 from ..plan import MigrationPlan
-from ..plan_cache import PlanCache, spec_fingerprint
-from ..sharded import ShardDegradedError, shard_execute
-from ..streaming import DEFAULT_CHUNK_SIZE, stream_execute
-from ..supervisor import RetryPolicy
-from ..transport import SocketTransport
-from ..verify import read_target_indexes, read_target_rows, verify_rows
+from ..plan_cache import PlanCache
+from ..run import RunDefaults, acquire_plan, resolve_run, run_plan, verify_target
+from ..sharded import ShardDegradedError
+from ..spec import Spec
 from .checkpoint import ShardCheckpoint
 from .jobs import TERMINAL_STATES, Job, JobError, JobStore
 
@@ -74,7 +72,17 @@ class JobRunner:
         self.store = JobStore(os.path.join(self.state_dir, "jobs"))
         self.plan_cache = PlanCache(os.path.join(self.state_dir, "plan-cache"))
         self.context_dir = os.path.join(self.state_dir, "context")
+        self.outputs_dir = os.path.join(self.state_dir, "outputs")
+        os.makedirs(self.outputs_dir, exist_ok=True)
         self._plans: Dict[str, MigrationPlan] = {}
+        #: acquire_plan with the daemon's warm state: explicit file > plan
+        #: memo > disk cache > (incremental against ``context/`` | cold) learn.
+        self._acquire_plan = functools.partial(
+            acquire_plan,
+            plan_cache=self.plan_cache,
+            memo=self._plans,
+            context_dir=self.context_dir,
+        )
         self._cancel_events: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
@@ -196,12 +204,7 @@ class JobRunner:
             self._cancel_events.pop(job_id, None)
 
     # ----------------------------------------------------------------- specs
-    def _build_spec(self, job: Job):
-        # Imported lazily: repro.runtime.cli imports this package for the
-        # `serve` subcommand, so a module-level import would be circular.
-        from ..cli import Spec
-
-        params = job.params
+    def _build_spec(self, params: Dict[str, object]) -> Spec:
         if params.get("spec_path"):
             return Spec.load(str(params["spec_path"]))
         payload = params.get("spec")
@@ -209,58 +212,12 @@ class JobRunner:
             raise JobError(
                 'job params need an inline "spec" object or a "spec_path"'
             )
-        base_dir = str(params.get("base_dir") or self.state_dir)
-        return Spec(dict(payload), base_dir)
-
-    def _acquire_plan(
-        self, job: Job, spec, *, allow_learn: bool
-    ) -> Tuple[MigrationPlan, str]:
-        """Plan for a job: explicit file > warm memo > disk cache > synthesis."""
-        plan_path = job.params.get("plan")
-        if plan_path:
-            path = spec.resolve(str(plan_path))
-            return MigrationPlan.load(path), f"loaded from {path}"
-        migration_spec = spec.migration_spec()
-        fingerprint = spec_fingerprint(migration_spec)
-        with self._lock:
-            memoized = self._plans.get(fingerprint)
-        if memoized is not None:
-            return memoized, "warm (daemon memory)"
-        cached = self.plan_cache.load(migration_spec)
-        if cached is not None:
-            with self._lock:
-                self._plans[fingerprint] = cached
-            return cached, "cache hit (daemon plan cache)"
-        if not allow_learn:
-            raise JobError(
-                'run jobs need a "plan" param or a previously learned spec '
-                "(submit a learn or migrate job first)"
-            )
-        jobs = int(job.params.get("jobs") or 1)
-        if job.params.get("incremental"):
-            from ..context_store import ContextStore
-            from ..incremental import learn_incremental
-
-            store = ContextStore(self.context_dir)
-            plan, report = learn_incremental(migration_spec, store, jobs=jobs)
-            synthesized = len(report.tables_synthesized)
-            provenance = (
-                f"incremental ({synthesized}/{report.tables_total} tables "
-                f"synthesized)"
-            )
-        else:
-            plan = MigrationPlan.learn(migration_spec, jobs=jobs)
-            provenance = "synthesized"
-        plan.source_format = spec.format
-        self.plan_cache.store(migration_spec, plan)
-        with self._lock:
-            self._plans[fingerprint] = plan
-        return plan, provenance
+        return Spec(dict(payload), str(params.get("base_dir") or self.state_dir))
 
     # ---------------------------------------------------------------- learn
     def _run_learn(self, job: Job) -> Dict[str, object]:
-        spec = self._build_spec(job)
-        plan, provenance = self._acquire_plan(job, spec, allow_learn=True)
+        spec = self._build_spec(job.params)
+        plan, provenance = self._acquire_plan(spec, job.params, allow_learn=True)
         job.provenance = provenance
         plans_dir = os.path.join(self.state_dir, "plans")
         os.makedirs(plans_dir, exist_ok=True)
@@ -278,17 +235,21 @@ class JobRunner:
     def _run_migration(
         self, job: Job, cancel_event: threading.Event
     ) -> Dict[str, object]:
-        spec = self._build_spec(job)
+        params = job.params
+        spec = self._build_spec(params)
+        # Refused before synthesis is paid for and before any target exists.
+        request = resolve_run(
+            spec,
+            params,
+            RunDefaults(
+                shards=4, backend="sqlite", output=os.path.join(self.outputs_dir, job.id)
+            ),
+        )
         plan, provenance = self._acquire_plan(
-            job, spec, allow_learn=(job.kind == "migrate")
+            spec, params, allow_learn=(job.kind == "migrate")
         )
         job.provenance = provenance
         self.store.save(job)
-        if plan.source_format and not spec.get("format") and not spec.get("dataset"):
-            spec.default_format = plan.source_format
-        params = job.params
-        dry_run = bool(params.get("dry_run"))
-        backend, output = self._make_backend(job, spec, dry_run=dry_run)
         delay = float(params.get("shard_delay") or 0.0)
 
         def progress(done: int, total: int) -> None:
@@ -299,113 +260,20 @@ class JobRunner:
             if delay:
                 time.sleep(delay)
 
-        try:
-            report = self._execute(job, spec, plan, backend, progress)
-        except Exception:
-            self._discard_output(backend, output)
-            raise
-        report.dry_run = dry_run
-        if hasattr(backend, "close"):
-            backend.close()
+        report = run_plan(
+            plan,
+            spec,
+            request,
+            checkpoint=ShardCheckpoint(
+                os.path.join(self.state_dir, "checkpoints", job.id)
+            ),
+            resume=job.resumes > 0,
+            progress=progress,
+        )
         payload = report.to_json()
-        payload["output"] = output
+        payload["output"] = request.output
         payload["provenance"] = provenance
         return payload
-
-    def _execute(
-        self, job: Job, spec, plan: MigrationPlan, backend: ExecutionBackend, progress
-    ) -> ExecutionReport:
-        params = job.params
-        chunk_size = int(params.get("chunk_size") or spec.get_int("chunk_size", DEFAULT_CHUNK_SIZE))
-        if params.get("streaming"):
-            return stream_execute(plan, spec.document_chunks(chunk_size), backend)
-        if params.get("whole_tree"):
-            return execute_plan(plan, spec.full_document(), backend)
-        workers = params.get("workers", spec.get("workers"))
-        workers = None if workers is None else int(workers)
-        raw_shards = params.get("shards") or spec.get("shards") or 4
-        if isinstance(raw_shards, str) and raw_shards.strip().lower() == "auto":
-            shards: object = "auto"
-        else:
-            shards = int(raw_shards)
-        checkpoint = ShardCheckpoint(
-            os.path.join(self.state_dir, "checkpoints", job.id)
-        )
-        shard_timeout = params.get("shard_timeout")
-        remote_workers = params.get("remote_workers") or spec.get("remote_workers")
-        transport = SocketTransport(remote_workers) if remote_workers else None
-        try:
-            return shard_execute(
-                plan,
-                spec.sharded_source(),
-                backend,
-                shards=shards,
-                chunk_size=chunk_size,
-                workers=workers,
-                checkpoint=checkpoint,
-                resume=job.resumes > 0,
-                progress=progress,
-                retry_policy=RetryPolicy.for_retries(params.get("shard_retries")),
-                shard_timeout=None if shard_timeout is None else float(shard_timeout),
-                faults=params.get("inject_faults"),
-                transport=transport,
-            )
-        finally:
-            if transport is not None:
-                transport.close()
-
-    def _make_backend(
-        self, job: Job, spec, *, dry_run: bool
-    ) -> Tuple[ExecutionBackend, Optional[str]]:
-        if dry_run:
-            return NullBackend(), None
-        from ..backends import BACKEND_NAMES
-
-        backend_name = str(job.params.get("backend") or spec.get("backend") or "sqlite")
-        if backend_name not in BACKEND_NAMES:
-            raise JobError(
-                f"unknown backend {backend_name!r} "
-                f"(available: {', '.join(BACKEND_NAMES)})"
-            )
-        kind = OUTPUT_KIND[backend_name]
-        explicit = job.params.get("output") or spec.get("output")
-        if kind is None:
-            output = None
-        elif explicit:
-            output = spec.resolve(str(explicit))
-            if os.path.exists(output) and not job.params.get("force") and job.resumes == 0:
-                raise JobError(
-                    f"output {output} already exists (pass \"force\": true)"
-                )
-        else:
-            outputs = os.path.join(self.state_dir, "outputs")
-            os.makedirs(outputs, exist_ok=True)
-            output = os.path.join(outputs, job.id + (".db" if kind == "file" else ""))
-        if output is not None and os.path.exists(output):
-            # A resumed job's earlier reduce may have left a partial target;
-            # the reduce always restarts from the spills, so clear it.
-            self._remove_output(output)
-        options = {}
-        if job.params.get("columnar_format"):
-            options["file_format"] = job.params["columnar_format"]
-        return create_backend(backend_name, output, **options), output
-
-    @staticmethod
-    def _remove_output(output: str) -> None:
-        if os.path.isdir(output):
-            shutil.rmtree(output, ignore_errors=True)
-        elif os.path.exists(output):
-            os.remove(output)
-
-    def _discard_output(self, backend: ExecutionBackend, output: Optional[str]) -> None:
-        """Never leave a partial target behind a failed or cancelled job."""
-        try:
-            if hasattr(backend, "close"):
-                backend.close()
-        except Exception:  # noqa: BLE001 — cleanup must not mask the cause
-            pass
-        if output is not None:
-            self._remove_output(output)
 
     # --------------------------------------------------------------- verify
     def _run_verify(self, job: Job) -> Dict[str, object]:
@@ -428,34 +296,14 @@ class JobRunner:
                 expected = {str(t): int(n) for t, n in counts.items()}
         if isinstance(params.get("expect"), dict):
             expected = {str(t): int(n) for t, n in params["expect"].items()}
-        verify_job = Job(id=job.id, kind="verify", params=params)
-        spec = self._build_spec(verify_job)
-        plan, provenance = self._acquire_plan(verify_job, spec, allow_learn=True)
-        job.provenance = provenance
-        if expected is None:
-            # Re-derive the expected counts with the dry-run counting pass.
-            counting = NullBackend()
-            execute_plan(plan, spec.full_document(), counting)
-            expected = dict(counting.counts)
-        backend_name = str(params.get("backend") or spec.get("backend") or "")
-        output = params.get("output") or spec.get("output")
-        if output is not None:
-            output = spec.resolve(str(output))
-        if not backend_name:
-            raise JobError('verify needs a "backend" (and its "output" target)')
-        rows = read_target_rows(backend_name, output, plan.schema)
-        # SQL targets also prove their secondary FK indexes exist; backends
-        # without SQL indexes return None and skip the check.
-        index_names = read_target_indexes(backend_name, output)
-        report = verify_rows(plan.schema, rows, expected, index_names=index_names)
+        spec = self._build_spec(params)
+        plan, job.provenance = self._acquire_plan(spec, params, allow_learn=True)
+        report, payload = verify_target(plan, spec, params, expected)
         if not report.passed:
             # A failed verification is a *finding*, not a crashed job — the
             # job succeeds and the report carries the verdict — but surface
             # the verdict in the job record's error field for listings.
             job.error = "verification failed"
-        payload = report.to_json()
-        payload["backend"] = backend_name
-        payload["output"] = output
         return payload
 
 

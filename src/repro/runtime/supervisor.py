@@ -328,38 +328,61 @@ class ShardSupervisor:
         return self._run_processes(tasks)
 
     # ------------------------------------------------------------------ #
+    # One failed attempt, settled the same way in every mode
+    # ------------------------------------------------------------------ #
+
+    def _retry_or_fail(
+        self,
+        outcome: SupervisionOutcome,
+        runnable: List[Tuple[float, int, Any, int]],
+        payload: Any,
+        failure: ShardFailure,
+    ) -> None:
+        """Re-queue the shard behind its backoff delay while the policy allows
+        another attempt; otherwise ``failure`` is permanent and recorded."""
+        shard, attempt = failure.shard, failure.attempts
+        if failure.retryable and attempt < self.policy.max_attempts:
+            outcome.retries += 1
+            eligible = time.monotonic() + self.policy.delay_for(shard, attempt)
+            runnable.append((eligible, shard, payload, attempt + 1))
+        else:
+            outcome.failures.append(failure)
+
+    def _raised(self, shard: int, attempt: int, error: BaseException) -> ShardFailure:
+        """Classify an exception an attempt raised in this process."""
+        return ShardFailure(
+            shard=shard,
+            attempts=attempt,
+            error_type=_failure_type(error),
+            error=str(error),
+            retryable=self.policy.is_retryable(error),
+            traceback="".join(
+                traceback.format_exception(type(error), error, error.__traceback__)
+            ),
+        )
+
+    # ------------------------------------------------------------------ #
     # In-process mode
     # ------------------------------------------------------------------ #
 
     def _run_in_process(self, tasks: Sequence[Tuple[int, Any]]) -> SupervisionOutcome:
         outcome = SupervisionOutcome()
         for shard, payload in tasks:
-            attempt = 1
-            while True:
+            # A shard's retries run before the next shard starts.
+            runnable: List[Tuple[float, int, Any, int]] = [(0.0, shard, payload, 1)]
+            while runnable:
+                eligible, _, _, attempt = runnable.pop()
+                if eligible:
+                    time.sleep(max(0.0, eligible - time.monotonic()))
                 try:
                     result = self.worker(payload, attempt)
-                except Exception as error:  # noqa: BLE001 - classified below
-                    retryable = self.policy.is_retryable(error)
-                    if retryable and attempt < self.policy.max_attempts:
-                        outcome.retries += 1
-                        time.sleep(self.policy.delay_for(shard, attempt))
-                        attempt += 1
-                        continue
-                    outcome.failures.append(
-                        ShardFailure(
-                            shard=shard,
-                            attempts=attempt,
-                            error_type=_failure_type(error),
-                            error=str(error),
-                            retryable=retryable,
-                            traceback=traceback.format_exc(),
-                        )
-                    )
-                    break
+                except Exception as error:  # noqa: BLE001 - classified by the policy
+                    failure = self._raised(shard, attempt, error)
+                    self._retry_or_fail(outcome, runnable, payload, failure)
+                    continue
                 outcome.results[shard] = result
                 if self.on_complete is not None:
                     self.on_complete(shard, result)
-                break
         return outcome
 
     # ------------------------------------------------------------------ #
@@ -405,26 +428,8 @@ class ShardSupervisor:
                         if self.on_complete is not None:
                             self.on_complete(shard, result)
                         continue
-                    retryable = self.policy.is_retryable(error)
-                    if retryable and attempt < self.policy.max_attempts:
-                        outcome.retries += 1
-                        eligible = time.monotonic() + self.policy.delay_for(shard, attempt)
-                        runnable.append((eligible, shard, payload, attempt + 1))
-                        continue
-                    outcome.failures.append(
-                        ShardFailure(
-                            shard=shard,
-                            attempts=attempt,
-                            error_type=_failure_type(error),
-                            error=str(error),
-                            retryable=retryable,
-                            traceback="".join(
-                                traceback.format_exception(
-                                    type(error), error, error.__traceback__
-                                )
-                            ),
-                        )
-                    )
+                    failure = self._raised(shard, attempt, error)
+                    self._retry_or_fail(outcome, runnable, payload, failure)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return outcome
@@ -533,40 +538,26 @@ class ShardSupervisor:
                 self.on_complete(state.shard, report["result"])
             return
 
+        shard, attempt = state.shard, state.attempt
         if timed_out:
-            error_type = ShardTimeout.__name__
-            message = (
-                f"shard {state.shard} attempt {state.attempt} exceeded "
-                f"{self.timeout}s and was cancelled"
+            failure = ShardFailure(
+                shard, attempt, ShardTimeout.__name__,
+                f"shard {shard} attempt {attempt} exceeded {self.timeout}s and was cancelled",
+                retryable=True,
             )
-            error_traceback = ""
-            retryable = True
         elif report is not None:
-            error_type = str(report.get("type", "Exception"))
-            message = str(report.get("error", ""))
-            error_traceback = str(report.get("traceback", ""))
-            retryable = bool(report.get("retryable", False))
+            failure = ShardFailure(
+                shard, attempt,
+                str(report.get("type", "Exception")),
+                str(report.get("error", "")),
+                bool(report.get("retryable", False)),
+                str(report.get("traceback", "")),
+            )
         else:
-            error_type = WorkerCrash.__name__
-            message = (
-                f"worker for shard {state.shard} exited "
-                f"(code {state.process.exitcode}) before reporting a result"
+            failure = ShardFailure(
+                shard, attempt, WorkerCrash.__name__,
+                f"worker for shard {shard} exited (code {state.process.exitcode}) "
+                f"before reporting a result",
+                retryable=True,
             )
-            error_traceback = ""
-            retryable = True
-
-        if retryable and state.attempt < self.policy.max_attempts:
-            outcome.retries += 1
-            eligible = time.monotonic() + self.policy.delay_for(state.shard, state.attempt)
-            runnable.append((eligible, state.shard, state.payload, state.attempt + 1))
-            return
-        outcome.failures.append(
-            ShardFailure(
-                shard=state.shard,
-                attempts=state.attempt,
-                error_type=error_type,
-                error=message,
-                retryable=retryable,
-                traceback=error_traceback,
-            )
-        )
+        self._retry_or_fail(outcome, runnable, state.payload, failure)

@@ -515,6 +515,8 @@ def _demo_spec(tmp_path, **extra):
         (["--shards", "2", "--no-stream"], "conflicts with --no-stream"),
         (["--shards", "2", "--streaming"], "different execution modes"),
         (["--shards", "0"], "--shards must be >= 1"),
+        (["--streaming", "--shards", "2", "--no-stream"], "--streaming conflicts with --shards"),
+        (["--streaming", "--chunk-size", "0"], "--chunk-size must be positive"),
         (["--chunk-size", "5"], "--chunk-size and --workers only apply"),
         (["--workers", "2"], "--chunk-size and --workers only apply"),
         (["--no-stream", "--chunk-size", "5"], "--chunk-size and --workers only apply"),
@@ -643,7 +645,7 @@ def test_cli_failed_columnar_run_removes_partial_directory(tmp_path, monkeypatch
     def _boom(*args, **kwargs):
         raise RuntimeError("mid-run failure")
 
-    monkeypatch.setattr("repro.runtime.cli.shard_execute", _boom)
+    monkeypatch.setattr("repro.runtime.run.shard_execute", _boom)
     with pytest.raises(RuntimeError):
         cli_main(
             ["migrate", "--spec", spec, "--shards", "2",
@@ -662,7 +664,7 @@ def test_cli_failed_columnar_run_preserves_user_directory(tmp_path, monkeypatch)
     def _boom(*args, **kwargs):
         raise RuntimeError("mid-run failure")
 
-    monkeypatch.setattr("repro.runtime.cli.shard_execute", _boom)
+    monkeypatch.setattr("repro.runtime.run.shard_execute", _boom)
     with pytest.raises(RuntimeError):
         cli_main(
             ["migrate", "--spec", spec, "--shards", "2",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checks: dead links, required anchors, CLI --help snapshots.
+"""Documentation checks: dead links, required anchors, --help snapshots, run options.
 
-Three guards keep the docs/ site honest (CI job ``docs-check``):
+Four guards keep the docs/ site honest (CI job ``docs-check``):
 
 1. **Dead links** — every relative markdown link in ``docs/*.md`` and
    ``README.md`` must resolve to an existing file, and every ``#anchor``
@@ -14,6 +14,11 @@ Three guards keep the docs/ site honest (CI job ``docs-check``):
 3. **Help snapshots** — the ``--help`` output of ``python -m repro`` and
    each subcommand is snapshotted under ``docs/help/``; the check re-runs
    the CLI and diffs, so the CLI reference can never drift from the code.
+4. **Run options** — both front-ends resolve a run through one option table
+   (``repro.runtime.run.RUN_OPTIONS``); every key in it must be documented
+   in ``docs/cli.md`` (as its flag, and as a spec key when it is one) and in
+   ``docs/service.md`` (as a job param), so neither page can drift from the
+   one implementation.
 
 Usage::
 
@@ -191,6 +196,29 @@ def check_help(regen):
     return errors
 
 
+def check_run_options():
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.runtime.run import RUN_OPTIONS
+
+    pages = {}
+    for name in ("cli.md", "service.md"):
+        with open(os.path.join(DOCS_DIR, name), "r", encoding="utf-8") as handle:
+            pages[name] = handle.read()
+    errors = []
+    for key, (is_spec_key, _) in RUN_OPTIONS.items():
+        flag = "--no-stream" if key == "whole_tree" else "--" + key.replace("_", "-")
+        wanted = [("cli.md", f"`{flag}", "flag"), ("service.md", f'`"{key}"`', "job param")]
+        if is_spec_key:
+            wanted.append(("cli.md", f"`{key}`", "spec key"))
+        for page, needle, role in wanted:
+            if needle not in pages[page]:
+                errors.append(
+                    f"docs/{page}: run option {key!r} is not documented as a {role} "
+                    f"(expected {needle.strip('`')} in backticks)"
+                )
+    return errors
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -200,12 +228,16 @@ def main(argv=None):
 
     errors = check_links()
     errors.extend(check_help(args.regen))
+    errors.extend(check_run_options())
     if errors:
         for error in errors:
             print(f"docs-check: {error}", file=sys.stderr)
         return 1
     checked = len(markdown_files())
-    print(f"docs-check ok: {checked} markdown files, {len(HELP_SNAPSHOTS)} help snapshots")
+    print(
+        f"docs-check ok: {checked} markdown files, {len(HELP_SNAPSHOTS)} help snapshots, "
+        f"run options documented"
+    )
     return 0
 
 
