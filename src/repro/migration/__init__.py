@@ -3,7 +3,6 @@
 from .engine import (
     MigrationEngine,
     MigrationError,
-    MigrationResult,
     MigrationSpec,
     TableExampleSpec,
     TableProgram,
@@ -15,7 +14,6 @@ from .keys import ForeignKeyRule, LinkRule, key_of, learn_link_rules, path_extra
 __all__ = [
     "MigrationEngine",
     "MigrationError",
-    "MigrationResult",
     "MigrationSpec",
     "TableExampleSpec",
     "TableProgram",

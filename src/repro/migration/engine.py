@@ -15,10 +15,14 @@ This module orchestrates that process:
 * :class:`MigrationSpec` — the target schema plus one example document shared
   by the per-table examples.
 * :class:`MigrationEngine` — synthesizes one program per table (data columns
-  only), learns foreign-key link rules from the example labels
-  (:mod:`repro.migration.keys`), and finally executes every program on the
-  full dataset, generating keys and loading a validated
-  :class:`~repro.relational.database.Database`.
+  only) and learns foreign-key link rules from the example labels
+  (:mod:`repro.migration.keys`).
+* :func:`iter_generate_table_rows` — the key-generation step that turns a
+  program's node tuples into schema-ordered rows.
+
+Running the learned programs on a full dataset is the runtime's job:
+:meth:`repro.runtime.plan.MigrationPlan.from_programs` packages them as a plan
+and :func:`repro.runtime.executor.execute_plan` loads it into a backend.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ from ..optimizer.optimize import (
     IGNORED,
     TupleProjection,
     execute_nodes,
-    iter_execute_nodes,
 )
-from ..relational.database import Database
 from ..relational.schema import DatabaseSchema, TableSchema
 from ..synthesis.config import SynthesisConfig
 from ..synthesis.predicate_learner import rows_equal
@@ -197,23 +199,6 @@ class TableProgram:
     label_to_nodes: Dict[Scalar, NodeTuple] = field(default_factory=dict)
 
 
-@dataclass
-class MigrationResult:
-    """The outcome of a full migration run."""
-
-    database: Database
-    table_programs: Dict[str, TableProgram]
-    synthesis_time: float
-    execution_time: float
-    per_table_synthesis_time: Dict[str, float]
-    per_table_execution_time: Dict[str, float]
-    per_table_rows: Dict[str, int]
-
-    @property
-    def total_rows(self) -> int:
-        return sum(self.per_table_rows.values())
-
-
 def _table_data_rows(
     spec: MigrationSpec, table_schema: TableSchema
 ) -> List[Tuple[Scalar, ...]]:
@@ -288,7 +273,7 @@ def _synthesize_table_worker(
 
 
 class MigrationEngine:
-    """Synthesize per-table programs and migrate full datasets to a database.
+    """Synthesize a program and key rules for every table of a target schema.
 
     The default configuration is :meth:`SynthesisConfig.for_migration`, which
     disables constant predicates: the hidden links of normalized database
@@ -586,67 +571,3 @@ class MigrationEngine:
                 )
             rules.append(ForeignKeyRule(fk.column, fk.target_table, links))
         return rules
-
-    # ------------------------------------------------------------ execution
-    def migrate(
-        self,
-        spec: MigrationSpec,
-        dataset: HDT,
-        *,
-        validate: bool = True,
-    ) -> MigrationResult:
-        """Learn programs from the examples and run them on the full dataset."""
-        synthesis_start = time.perf_counter()
-        programs, per_table_synthesis = self.learn(spec)
-        synthesis_time = time.perf_counter() - synthesis_start
-
-        database = Database(spec.schema)
-        per_table_execution: Dict[str, float] = {}
-        per_table_rows: Dict[str, int] = {}
-        execution_start = time.perf_counter()
-        for table_schema in spec.schema.topological_order():
-            start = time.perf_counter()
-            count = self._populate_table(database, programs[table_schema.name], dataset)
-            per_table_execution[table_schema.name] = time.perf_counter() - start
-            per_table_rows[table_schema.name] = count
-        execution_time = time.perf_counter() - execution_start
-
-        if validate:
-            database.validate()
-        return MigrationResult(
-            database=database,
-            table_programs=programs,
-            synthesis_time=synthesis_time,
-            execution_time=execution_time,
-            per_table_synthesis_time=per_table_synthesis,
-            per_table_execution_time=per_table_execution,
-            per_table_rows=per_table_rows,
-        )
-
-    def _populate_table(
-        self, database: Database, table_program: TableProgram, dataset: HDT
-    ) -> int:
-        """Run one table's program on the dataset and insert rows with keys.
-
-        The whole pipeline is streamed: node tuples flow out of the fused
-        executor straight into key generation and row insertion, one tuple at
-        a time.
-        """
-        projection = consumed_projection(
-            table_program.schema,
-            table_program.data_columns,
-            table_program.program.arity,
-        )
-        node_rows = iter_execute_nodes(
-            table_program.program, dataset, projection=projection
-        )
-        count = 0
-        for row in iter_generate_table_rows(
-            table_program.schema,
-            table_program.data_columns,
-            table_program.foreign_key_rules,
-            node_rows,
-        ):
-            database.insert(table_program.schema.name, row)
-            count += 1
-        return count

@@ -44,7 +44,7 @@ the per-tree :class:`~repro.hdt.tree.TagIndex`.
 The public entry points :func:`execute` / :func:`execute_nodes` are drop-in,
 semantics-preserving replacements for
 :func:`repro.dsl.semantics.run_program`; :func:`iter_execute_nodes` is the
-streaming variant.  ``benchmarks/bench_executor.py`` quantifies the speedup.
+streaming variant.
 """
 
 from __future__ import annotations

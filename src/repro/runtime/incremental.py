@@ -18,8 +18,8 @@ Every later call against the *same example document*:
 The learned plan is **byte-identical** to a cold learn of the edited spec
 (same pretty-printed programs, same θ-cost, same key rules): every reuse
 decision mirrors a determinism invariant of the learner, never a heuristic.
-See ``benchmarks/bench_incremental.py`` for the measured speedups
-(``BENCH_PR4.json``) and ``docs/runtime.md`` for the architecture.
+See ``docs/runtime.md`` for the architecture; the benchmark's
+``relearn_warm`` workload times the incremental relearn.
 
 Example::
 

@@ -141,19 +141,15 @@ class MigrationPlan:
         engine: Optional[MigrationEngine] = None,
         *,
         jobs: int = 1,
-        context_store=None,
     ) -> "MigrationPlan":
         """Run synthesis once and package the result as a durable plan.
 
         ``jobs`` fans independent per-table synthesis out over processes when
         no explicit engine is given (``0`` = CPU count); the learned plan is
-        identical regardless of parallelism.  Pass a
-        :class:`~repro.runtime.context_store.ContextStore` as
-        ``context_store`` to learn *incrementally*: persisted synthesis
-        caches are rehydrated, the spec is diffed against the store's
-        snapshots, and only the tables the edit affected are re-synthesized
-        (see :func:`repro.runtime.incremental.learn_incremental`, which also
-        returns the reuse report).  The plan is byte-identical either way.
+        identical regardless of parallelism.  To re-synthesize only the
+        tables an edit affected, use
+        :func:`repro.runtime.incremental.learn_incremental`, which learns the
+        byte-identical plan.
 
         Example
         -------
@@ -162,16 +158,6 @@ class MigrationPlan:
         >>> sorted(plan.tables)[:2]
         ['article', 'article_author']
         """
-        if context_store is not None:
-            from .incremental import learn_incremental
-
-            plan, _ = learn_incremental(
-                spec,
-                context_store,
-                config=engine.config if engine is not None else None,
-                jobs=engine.jobs if engine is not None else jobs,
-            )
-            return plan
         engine = engine if engine is not None else MigrationEngine(jobs=jobs)
         programs, _ = engine.learn(spec)
         return MigrationPlan.from_programs(spec.schema, programs)

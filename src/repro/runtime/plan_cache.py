@@ -50,8 +50,10 @@ class PlanCache:
     >>> from repro.datasets import dblp
     >>> spec = dblp.dataset(scale=2).migration_spec()
     >>> cache = PlanCache(tempfile.mkdtemp())
-    >>> plan = cache.learn_or_load(spec)       # cold: synthesizes and stores
-    >>> cache.load(spec) is not None           # warm: served from disk
+    >>> cache.load(spec) is None                # cold: a miss
+    True
+    >>> path = cache.store(spec, MigrationPlan.learn(spec))
+    >>> cache.load(spec) is not None            # warm: served from disk
     True
     """
 
@@ -92,20 +94,3 @@ class PlanCache:
         plan.save(temporary)
         os.replace(temporary, path)
         return path
-
-    def learn_or_load(
-        self, spec: MigrationSpec, engine=None, *, context_store=None
-    ) -> MigrationPlan:
-        """Return the cached plan, or synthesize, cache and return a fresh one.
-
-        With a :class:`~repro.runtime.context_store.ContextStore`, the miss
-        path learns *incrementally* — a near-miss (edited spec over the same
-        example document) re-synthesizes only the affected tables and the
-        result is cached under the new fingerprint as usual.
-        """
-        cached = self.load(spec)
-        if cached is not None:
-            return cached
-        plan = MigrationPlan.learn(spec, engine, context_store=context_store)
-        self.store(spec, plan)
-        return plan

@@ -170,7 +170,7 @@ def partition_records(total: int, shards: int) -> List[ShardSpec]:
 
 #: Records a shard must amortize before fan-out pays for itself: below
 #: roughly this many records per shard, process/transport overhead dominates
-#: (BENCH_PR5: fan-out only pays past 1 core *and* a non-trivial range).
+#: (fan-out only pays past 1 core *and* a non-trivial range).
 MIN_AUTO_SHARD_RECORDS = 512
 
 

@@ -27,7 +27,7 @@ program reuse is decided by data-row equality, never by schema syntax.
 Because every reuse decision mirrors an invariant of the learner ("same
 task → same program"), an incremental learn assembled from this diff is
 **byte-identical** to a cold learn of the edited spec — the property enforced
-by ``tests/test_incremental.py`` and ``benchmarks/bench_incremental.py``.
+by ``tests/test_incremental.py``.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ that need disjunctive filters.
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional
 
 from ..dsl.ast import ColumnExtractor, Children, Descendants, PChildren, Predicate, Program, TableExtractor, True_, Var, conjoin
 from ..dsl.semantics import compare_values, eval_column_on_tree, eval_predicate, Op
@@ -32,25 +33,50 @@ from .predicate_universe import construct_predicate_universe
 from .synthesizer import ExamplePair, SynthesisResult, SynthesisTask
 
 
+class _BudgetExhausted(Exception):
+    """The task ran past ``SynthesisConfig.timeout_seconds``."""
+
+
+def _check(deadline: float) -> None:
+    if time.perf_counter() > deadline:
+        raise _BudgetExhausted
+
+
+def iter_column_extractors(
+    tree: HDT, max_length: int, deadline: float = math.inf
+) -> Iterator[ColumnExtractor]:
+    """Yield every column extractor of length ≤ max_length over the tree's tags.
+
+    Extractors come by increasing length, and within a length in the order of
+    their bases.  Each level is regenerated from the one below instead of
+    being stored, so memory stays proportional to ``max_length`` although the
+    pool grows exponentially with it (millions of extractors at the default
+    length).  Raises :class:`_BudgetExhausted` once ``deadline`` has passed.
+    """
+    tags = tree.tags()
+    positions = {tag: tree.positions_for_tag(tag) for tag in tags}
+
+    def level(length: int) -> Iterator[ColumnExtractor]:
+        if length == 0:
+            yield Var()
+            return
+        for base in level(length - 1):
+            _check(deadline)
+            for tag in tags:
+                yield Children(base, tag)
+                yield Descendants(base, tag)
+                for pos in positions[tag]:
+                    yield PChildren(base, tag, pos)
+
+    for length in range(max_length + 1):
+        yield from level(length)
+
+
 def enumerate_column_extractors(
     tree: HDT, max_length: int
 ) -> List[ColumnExtractor]:
-    """Enumerate every column extractor of length ≤ max_length over the tree's tags."""
-    tags = tree.tags()
-    positions = {tag: tree.positions_for_tag(tag) for tag in tags}
-    current: List[ColumnExtractor] = [Var()]
-    all_programs: List[ColumnExtractor] = [Var()]
-    for _ in range(max_length):
-        next_level: List[ColumnExtractor] = []
-        for base in current:
-            for tag in tags:
-                next_level.append(Children(base, tag))
-                next_level.append(Descendants(base, tag))
-                for pos in positions[tag]:
-                    next_level.append(PChildren(base, tag, pos))
-        all_programs.extend(next_level)
-        current = next_level
-    return all_programs
+    """Every column extractor of length ≤ max_length over the tree's tags."""
+    return list(iter_column_extractors(tree, max_length))
 
 
 class BaselineSynthesizer:
@@ -63,69 +89,70 @@ class BaselineSynthesizer:
     def synthesize(self, task: SynthesisTask) -> SynthesisResult:
         start = time.perf_counter()
         config = self.config
-        arity = task.arity
-        if arity == 0:
+        deadline = start + config.timeout_seconds
+        if task.arity == 0:
             return SynthesisResult(None, False, 0.0, message="empty output example")
 
-        # Enumerate candidate extractors per column by filtering the brute-force
-        # pool against the coverage requirement on every example.
         column_candidates: List[List[ColumnExtractor]] = []
-        pool_cache = {}
-        for j in range(arity):
-            candidates: List[ColumnExtractor] = []
-            for example in task.examples:
-                key = id(example.tree)
-                if key not in pool_cache:
-                    pool_cache[key] = enumerate_column_extractors(
-                        example.tree, config.max_column_program_length
-                    )
-            first = task.examples[0]
-            for extractor in pool_cache[id(first.tree)]:
-                if all(
-                    self._covers(extractor, ex.tree, [row[j] for row in ex.rows])
-                    for ex in task.examples
-                ):
-                    candidates.append(extractor)
-                    if len(candidates) >= config.max_column_programs:
-                        break
-            if not candidates:
-                return SynthesisResult(
-                    None,
-                    False,
-                    time.perf_counter() - start,
-                    message=f"no column extractor found for column {j}",
-                )
-            candidates.sort(key=lambda e: (e.size(), repr(e)))
-            column_candidates.append(candidates)
-
-        predicate_examples = [(ex.tree, ex.rows) for ex in task.examples]
-        combos = list(itertools.product(*column_candidates))
-        combos.sort(key=lambda combo: sum(c.size() for c in combo))
         tried = 0
-        for combo in combos[: config.max_table_extractors]:
-            if time.perf_counter() - start > config.timeout_seconds:
-                break
-            tried += 1
-            table_extractor = TableExtractor(tuple(combo))
-            predicate = self._learn_conjunction(predicate_examples, table_extractor)
-            if predicate is None:
-                continue
-            program = Program(table_extractor, predicate)
-            if check_program(program, predicate_examples):
-                return SynthesisResult(
-                    program,
-                    True,
-                    time.perf_counter() - start,
-                    candidates_tried=tried,
-                    column_candidates=[len(c) for c in column_candidates],
+        try:
+            # Enumerate candidate extractors per column by filtering the
+            # brute-force pool against the coverage requirement on every example.
+            first = task.examples[0]
+            for j in range(task.arity):
+                candidates: List[ColumnExtractor] = []
+                for extractor in iter_column_extractors(
+                    first.tree, config.max_column_program_length, deadline
+                ):
+                    _check(deadline)
+                    if all(
+                        self._covers(extractor, ex.tree, [row[j] for row in ex.rows])
+                        for ex in task.examples
+                    ):
+                        candidates.append(extractor)
+                        if len(candidates) >= config.max_column_programs:
+                            break
+                if not candidates:
+                    return SynthesisResult(
+                        None,
+                        False,
+                        time.perf_counter() - start,
+                        message=f"no column extractor found for column {j}",
+                    )
+                candidates.sort(key=lambda e: (e.size(), repr(e)))
+                column_candidates.append(candidates)
+
+            predicate_examples = [(ex.tree, ex.rows) for ex in task.examples]
+            combos = list(itertools.product(*column_candidates))
+            combos.sort(key=lambda combo: sum(c.size() for c in combo))
+            for combo in combos[: config.max_table_extractors]:
+                _check(deadline)
+                tried += 1
+                table_extractor = TableExtractor(tuple(combo))
+                predicate = self._learn_conjunction(
+                    predicate_examples, table_extractor, deadline
                 )
+                if predicate is None:
+                    continue
+                program = Program(table_extractor, predicate)
+                if check_program(program, predicate_examples):
+                    return SynthesisResult(
+                        program,
+                        True,
+                        time.perf_counter() - start,
+                        candidates_tried=tried,
+                        column_candidates=[len(c) for c in column_candidates],
+                    )
+            message = "baseline found no conjunctive filter"
+        except _BudgetExhausted:
+            message = "budget exhausted"
         return SynthesisResult(
             None,
             False,
             time.perf_counter() - start,
             candidates_tried=tried,
             column_candidates=[len(c) for c in column_candidates],
-            message="baseline found no conjunctive filter",
+            message=message,
         )
 
     # ------------------------------------------------------------- internals
@@ -136,7 +163,7 @@ class BaselineSynthesizer:
         )
 
     def _learn_conjunction(
-        self, examples, table_extractor: TableExtractor
+        self, examples, table_extractor: TableExtractor, deadline: float = math.inf
     ) -> Optional[Predicate]:
         """Enumerate conjunctions of atomic predicates by increasing size."""
         try:
@@ -154,11 +181,14 @@ class BaselineSynthesizer:
         )
         # Keep only predicates that hold on every positive tuple: a conjunction
         # containing any other predicate would reject a positive example.
-        keep = [
-            p for p in universe if all(eval_predicate(p, t) for t in positives)
-        ]
+        keep = []
+        for p in universe:
+            _check(deadline)
+            if all(eval_predicate(p, t) for t in positives):
+                keep.append(p)
         for size in range(1, self.max_conjunction + 1):
             for subset in itertools.combinations(keep, size):
+                _check(deadline)
                 formula = conjoin(subset)
                 if not any(eval_predicate(formula, t) for t in negatives):
                     return formula

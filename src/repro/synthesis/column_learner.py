@@ -193,9 +193,8 @@ def learn_column_extractors_eager(
 ) -> List[ColumnExtractor]:
     """The seed algorithm: eager per-example DFAs + product intersection.
 
-    Kept as the reference implementation — the equivalence property tests and
-    the ``BENCH_PR3`` seed-vs-vectorized comparison run it against the lazy
-    engine.
+    Kept as the reference implementation — the equivalence property tests
+    run it against the lazy engine.
     """
     if not examples:
         raise ValueError("at least one example is required")

@@ -61,8 +61,7 @@ class SynthesisConfig:
 
     # --- solvers -------------------------------------------------------------
     cover_strategy: str = "auto"
-    """Minimum-cover strategy: 'auto', 'ilp', 'branch_and_bound', 'greedy' or
-    'legacy' (the pre-PR-8 auto dispatch that hands large instances to HiGHS)."""
+    """Minimum-cover strategy: 'auto', 'ilp', 'branch_and_bound' or 'greedy'."""
 
     exact_cover_limit: int = 26
     """Use exact branch-and-bound only when at most this many candidate predicates

@@ -19,11 +19,7 @@ The strategies are selected through
 * ``branch_and_bound``  — an exact, dependency-free solver with greedy
   upper bounds and element-based branching (used for small universes);
 * ``greedy``            — the classic ln(n)-approximation, used as a fallback
-  for very large instances and by the ablation benchmarks;
-* ``legacy``            — the pre-PR-8 ``auto`` dispatch (branch and bound
-  small, HiGHS large), kept so the historical solver choice — and therefore
-  the exact cover HiGHS happened to return among equally-minimal ones — can
-  be reproduced bit-for-bit.
+  for very large instances and by the ablation benchmarks.
 
 The predicate learner's Table 1 tail is dominated by large cover instances
 (hundreds of predicates × tens of thousands of pairs) where HiGHS spends a
@@ -461,19 +457,14 @@ def minimum_cover_bits(
         return branch_and_bound_cover_bits(masks, universe_mask)
     if strategy == "ilp":
         return ilp_cover_bits(masks, universe_mask)
-    if strategy not in ("auto", "legacy"):
+    if strategy != "auto":
         raise ValueError(f"unknown cover strategy: {strategy!r}")
     if len(masks) <= exact_limit:
         return branch_and_bound_cover_bits(masks, universe_mask)
-    if strategy == "auto":
-        cover, complete = exact_cover_bits(masks, universe_mask, costs=costs)
-        if complete:
-            return cover
-        if not _HAVE_SCIPY_MILP:  # pragma: no cover - no scipy fallback
-            return cover
-    if _HAVE_SCIPY_MILP:
-        return ilp_cover_bits(masks, universe_mask)
-    return greedy_cover_bits(masks, universe_mask)  # pragma: no cover - no scipy fallback
+    cover, complete = exact_cover_bits(masks, universe_mask, costs=costs)
+    if complete or not _HAVE_SCIPY_MILP:
+        return cover
+    return ilp_cover_bits(masks, universe_mask)
 
 
 # --------------------------------------------------------------------------- #
@@ -491,11 +482,11 @@ def minimum_cover(
 ) -> List[int]:
     """Select a minimum (or near-minimum) family of sets covering ``universe``.
 
-    ``strategy`` is one of ``auto``, ``ilp``, ``branch_and_bound``, ``greedy``
-    or ``legacy``.  ``auto`` uses exact branch and bound for small instances
-    and the large-instance exact search otherwise; ``legacy`` restores the
-    pre-PR-8 dispatch (HiGHS for large instances); ``greedy`` is only
-    approximate and exists for ablations and as a last-resort fallback.
+    ``strategy`` is one of ``auto``, ``ilp``, ``branch_and_bound`` or
+    ``greedy``.  ``auto`` uses exact branch and bound for small instances and
+    the large-instance exact search otherwise, falling back to HiGHS when that
+    search exhausts its node budget; ``greedy`` is only approximate and exists
+    for ablations and as a last-resort fallback.
     """
     if not universe:
         return []
@@ -505,24 +496,19 @@ def minimum_cover(
         return branch_and_bound_cover(sets, universe)
     if strategy == "ilp":
         return ilp_cover(sets, universe)
-    if strategy not in ("auto", "legacy"):
+    if strategy != "auto":
         raise ValueError(f"unknown cover strategy: {strategy!r}")
     if len(sets) <= exact_limit:
         return branch_and_bound_cover(sets, universe)
-    if strategy == "auto":
-        # Delegate to the bitmask search through a dense element renumbering so
-        # the list and bitmask representations keep returning the same cover.
-        elements = sorted(universe)
-        element_index = {e: i for i, e in enumerate(elements)}
-        masks = [
-            mask_from_indices(element_index[e] for e in s if e in element_index)
-            for s in sets
-        ]
-        cover, complete = exact_cover_bits(masks, full_mask(len(elements)), costs=costs)
-        if complete:
-            return cover
-        if not _HAVE_SCIPY_MILP:  # pragma: no cover - no scipy fallback
-            return cover
-    if _HAVE_SCIPY_MILP:
-        return ilp_cover(sets, universe)
-    return greedy_cover(sets, universe)  # pragma: no cover - no scipy fallback
+    # Delegate to the bitmask search through a dense element renumbering so
+    # the list and bitmask representations keep returning the same cover.
+    elements = sorted(universe)
+    element_index = {e: i for i, e in enumerate(elements)}
+    masks = [
+        mask_from_indices(element_index[e] for e in s if e in element_index)
+        for s in sets
+    ]
+    cover, complete = exact_cover_bits(masks, full_mask(len(elements)), costs=costs)
+    if complete or not _HAVE_SCIPY_MILP:
+        return cover
+    return ilp_cover(sets, universe)

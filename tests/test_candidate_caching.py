@@ -250,24 +250,6 @@ def test_auto_dispatch_uses_exact_search_above_the_small_limit():
         assert covered & universe == universe
 
 
-def test_legacy_strategy_matches_auto_cover_size():
-    """'legacy' (HiGHS on large instances) stays available and optimal."""
-    rnd = random.Random(7)
-    masks, universe = _random_cover_instance(rnd)
-    masks = masks * (26 // len(masks) + 2)
-    legacy = minimum_cover_bits(masks, universe, strategy="legacy")
-    auto = minimum_cover_bits(masks, universe, strategy="auto")
-    assert len(legacy) == len(auto)
-    covered = 0
-    for idx in legacy:
-        covered |= masks[idx]
-    assert covered & universe == universe
-    # The list-based twin dispatches the same way.
-    sets = [{e for e in range(universe.bit_length()) if (m >> e) & 1} for m in masks]
-    listed = minimum_cover(sets, set(range(universe.bit_length())), strategy="legacy")
-    assert len(listed) == len(auto)
-
-
 def test_cost_aware_search_prefers_cheaper_equally_minimal_cover():
     """With per-set costs, swaps pick the cheaper of two same-size optima."""
     # Elements {0,1}: sets 0 and 1 each cover both (interchangeable minimum
@@ -294,10 +276,12 @@ def test_cost_aware_search_prefers_cheaper_equally_minimal_cover():
 
 
 def test_unknown_cover_strategy_is_rejected():
-    with pytest.raises(ValueError):
-        minimum_cover_bits([1], 1, strategy="simulated-annealing")
-    with pytest.raises(ValueError):
-        minimum_cover([{0}], {0}, strategy="simulated-annealing")
+    # 'legacy' names a removed strategy and must not fall back to 'auto'.
+    for strategy in ("simulated-annealing", 'legacy'):
+        with pytest.raises(ValueError):
+            minimum_cover_bits([1], 1, strategy=strategy)
+        with pytest.raises(ValueError):
+            minimum_cover([{0}], {0}, strategy=strategy)
 
 
 # --------------------------------------------------------------------------- #

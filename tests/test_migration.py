@@ -17,6 +17,7 @@ from repro.migration import (
 )
 from repro.optimizer import execute_nodes
 from repro.relational import ColumnDef, DatabaseSchema, ForeignKey, TableSchema
+from repro.runtime import MemoryBackend, MigrationPlan, execute_plan
 
 
 @pytest.fixture
@@ -93,6 +94,13 @@ def library_spec(tree) -> MigrationSpec:
     )
 
 
+def migrate(spec, document):
+    """Learn every table of ``spec`` and run the plan on ``document`` into memory."""
+    programs, _ = MigrationEngine().learn(spec)
+    plan = MigrationPlan.from_programs(spec.schema, programs)
+    return execute_plan(plan, document, MemoryBackend())
+
+
 # --------------------------------------------------------------------------- #
 # Key helpers
 # --------------------------------------------------------------------------- #
@@ -158,10 +166,8 @@ def test_link_rule_out_of_range(library_tree):
 
 
 def test_migration_learn_and_migrate_surrogate_keys(library_tree):
-    spec = library_spec(library_tree)
-    engine = MigrationEngine()
-    result = engine.migrate(spec, library_tree)
-    database = result.database
+    result = migrate(library_spec(library_tree), library_tree)
+    database = result.backend.database
     assert database.row_count("author") == 2
     assert database.row_count("book") == 3
     assert database.validate_foreign_keys() == []
@@ -174,7 +180,6 @@ def test_migration_learn_and_migrate_surrogate_keys(library_tree):
 
 def test_migration_scales_to_larger_document(library_tree):
     spec = library_spec(library_tree)
-    engine = MigrationEngine()
     bigger = build_tree(
         {
             "author": [
@@ -188,9 +193,9 @@ def test_migration_scales_to_larger_document(library_tree):
         },
         tag="library",
     )
-    result = engine.migrate(spec, bigger)
+    result = migrate(spec, bigger)
     assert result.per_table_rows == {"author": 10, "book": 30}
-    assert result.database.validate_foreign_keys() == []
+    assert result.backend.database.validate_foreign_keys() == []
     assert result.total_rows == 40
 
 
@@ -205,9 +210,11 @@ def test_migration_missing_example_raises(library_tree):
 
 
 def test_migration_result_reports_times(library_tree):
-    result = MigrationEngine().migrate(library_spec(library_tree), library_tree)
-    assert result.synthesis_time > 0
-    assert set(result.per_table_synthesis_time) == {"author", "book"}
+    spec = library_spec(library_tree)
+    programs, per_table_synthesis_time = MigrationEngine().learn(spec)
+    result = execute_plan(MigrationPlan.from_programs(spec.schema, programs), library_tree)
+    assert sum(per_table_synthesis_time.values()) > 0
+    assert set(per_table_synthesis_time) == {"author", "book"}
     assert set(result.per_table_rows) == {"author", "book"}
 
 
@@ -267,6 +274,6 @@ def test_migration_natural_keys_small():
             ),
         ],
     )
-    result = MigrationEngine().migrate(spec, tree)
+    result = migrate(spec, tree)
     assert result.per_table_rows == {"article": 2, "authorship": 3}
-    assert result.database.validate_foreign_keys() == []
+    assert result.backend.database.validate_foreign_keys() == []

@@ -16,6 +16,8 @@ from repro.runtime import (
     MigrationPlan,
     PlanCache,
     SQLiteBackend,
+    Spec,
+    acquire_plan,
     canonical_database_rows,
     database_matches_sqlite,
     execute_plan,
@@ -134,12 +136,14 @@ def test_plan_save_load(tmp_path, dblp_plan):
 
 
 def test_dblp_saved_plan_replay_is_byte_identical(tmp_path, monkeypatch, dblp_bundle):
-    """A reloaded plan reproduces a fresh migrate() run's SQLite bytes —
+    """A reloaded plan reproduces a fresh learn-and-run's SQLite bytes —
     without ever invoking the synthesizer."""
     spec = dblp_bundle.migration_spec()
-    result = MigrationEngine().migrate(spec, dblp_bundle.generate(3))
+    programs, _ = MigrationEngine().learn(spec)
+    plan = MigrationPlan.from_programs(spec.schema, programs)
+    fresh = execute_plan(plan, dblp_bundle.generate(3), MemoryBackend())
     plan_path = str(tmp_path / "plan.json")
-    MigrationPlan.from_programs(spec.schema, result.table_programs).save(plan_path)
+    plan.save(plan_path)
 
     def _no_synthesis(self, task):  # pragma: no cover - failure path
         raise AssertionError("synthesizer must not run during plan replay")
@@ -148,7 +152,7 @@ def test_dblp_saved_plan_replay_is_byte_identical(tmp_path, monkeypatch, dblp_bu
     replay_plan = MigrationPlan.load(plan_path)
     backend = SQLiteBackend()
     execute_plan(replay_plan, dblp_bundle.generate(3), backend)
-    fresh_dump = load_database(result.database).dump()
+    fresh_dump = load_database(fresh.backend.database).dump()
     assert backend.dump() == fresh_dump
 
 
@@ -172,9 +176,11 @@ def test_mondial_saved_plan_replay_is_byte_identical(tmp_path, monkeypatch):
         table_examples=[e for e in bundle.table_examples if e.table in subset],
     )
     config = replace(SynthesisConfig.for_migration(), stop_after_first_solution=True)
-    result = MigrationEngine(config).migrate(spec, bundle.generate(4))
+    programs, _ = MigrationEngine(config).learn(spec)
+    plan = MigrationPlan.from_programs(schema, programs)
+    fresh = execute_plan(plan, bundle.generate(4), MemoryBackend())
     plan_path = str(tmp_path / "plan.json")
-    MigrationPlan.from_programs(schema, result.table_programs).save(plan_path)
+    plan.save(plan_path)
 
     def _no_synthesis(self, task):  # pragma: no cover - failure path
         raise AssertionError("synthesizer must not run during plan replay")
@@ -183,7 +189,7 @@ def test_mondial_saved_plan_replay_is_byte_identical(tmp_path, monkeypatch):
     replay_plan = MigrationPlan.load(plan_path)
     backend = SQLiteBackend()
     execute_plan(replay_plan, bundle.generate(4), backend)
-    assert backend.dump() == load_database(result.database).dump()
+    assert backend.dump() == load_database(fresh.backend.database).dump()
 
 
 def test_restrict_requires_fk_closed_subset(dblp_plan):
@@ -450,16 +456,18 @@ def test_plan_source_format_round_trips(tmp_path, library_plan):
     assert restored.restrict(["author", "book"]).source_format == "json"
 
 
-def test_plan_cache_learn_or_load_synthesizes_once(tmp_path, monkeypatch):
-    spec = _library_spec(_library_tree())
+def test_plan_cache_acquire_plan_synthesizes_once(tmp_path, monkeypatch):
+    spec = Spec.load(_write_cli_fixture(tmp_path))
     cache = PlanCache(str(tmp_path / "cache"))
-    first = cache.learn_or_load(spec)
+    first, provenance = acquire_plan(spec, {}, plan_cache=cache, allow_learn=True)
+    assert provenance.startswith("synthesized and cached")
 
     def _no_synthesis(self, task):  # pragma: no cover - failure path
         raise AssertionError("cache hit must not re-synthesize")
 
     monkeypatch.setattr(Synthesizer, "synthesize", _no_synthesis)
-    second = cache.learn_or_load(spec)
+    second, provenance = acquire_plan(spec, {}, plan_cache=cache, allow_learn=True)
+    assert provenance.startswith("cache hit")
     assert second.tables.keys() == first.tables.keys()
 
 

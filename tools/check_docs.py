@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checks: dead links, required anchors, --help snapshots, run options.
+"""Documentation checks: dead links, required anchors, named paths, --help snapshots, run options.
 
-Four guards keep the docs/ site honest (CI job ``docs-check``):
+Five guards keep the docs/ site honest (CI job ``docs-check``):
 
 1. **Dead links** — every relative markdown link in ``docs/*.md`` and
    ``README.md`` must resolve to an existing file, and every ``#anchor``
@@ -11,10 +11,16 @@ Four guards keep the docs/ site honest (CI job ``docs-check``):
    to them at the moment: external docs, CLI ``--help`` text and commit
    messages reference them, so renaming a heading silently strands readers.
    The backends/operations chapter is the first page pinned this way.
-3. **Help snapshots** — the ``--help`` output of ``python -m repro`` and
+3. **Named paths** — every repository path to a ``.py`` or ``.json`` file
+   that ``README.md`` or a ``docs/*.md`` page names, in prose or in a code
+   block, must exist.  A path is a repository path when its first component
+   is a directory at the repository root (``benchmarks/harness/run.py``) or
+   a package of ``src/repro`` (``runtime/run.py``), so a page can never tell
+   a reader to run or read a file that is gone.
+4. **Help snapshots** — the ``--help`` output of ``python -m repro`` and
    each subcommand is snapshotted under ``docs/help/``; the check re-runs
    the CLI and diffs, so the CLI reference can never drift from the code.
-4. **Run options** — both front-ends resolve a run through one option table
+5. **Run options** — both front-ends resolve a run through one option table
    (``repro.runtime.run.RUN_OPTIONS``); every key in it must be documented
    in ``docs/cli.md`` (as its flag, and as a spec key when it is one) and in
    ``docs/service.md`` (as a job param), so neither page can drift from the
@@ -90,6 +96,8 @@ REQUIRED_ANCHORS = {
 LINK_RE = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+NAMED_PATH_RE = re.compile(r"(?<![\w./-])(\w[\w.-]*(?:/[\w.-]+)+\.(?:py|json))\b")
+PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro")
 
 
 def github_slug(heading):
@@ -152,6 +160,22 @@ def check_links():
                     f"{relative}: required anchor #{slug} is stale or missing "
                     f"(a heading was renamed or removed)"
                 )
+    return errors
+
+
+def check_named_paths():
+    errors = []
+    for path in markdown_files():
+        relative = os.path.relpath(path, REPO_ROOT)
+        with open(path, "r", encoding="utf-8") as handle:
+            named = sorted(set(NAMED_PATH_RE.findall(handle.read())))
+        for name in named:
+            first = name.split("/", 1)[0]
+            for root in (REPO_ROOT, PACKAGE_DIR):
+                if os.path.isdir(os.path.join(root, first)):
+                    if not os.path.exists(os.path.join(root, name)):
+                        errors.append(f"{relative}: names a missing file -> {name}")
+                    break
     return errors
 
 
@@ -227,6 +251,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     errors = check_links()
+    errors.extend(check_named_paths())
     errors.extend(check_help(args.regen))
     errors.extend(check_run_options())
     if errors:
@@ -235,8 +260,8 @@ def main(argv=None):
         return 1
     checked = len(markdown_files())
     print(
-        f"docs-check ok: {checked} markdown files, {len(HELP_SNAPSHOTS)} help snapshots, "
-        f"run options documented"
+        f"docs-check ok: {checked} markdown files, named paths exist, "
+        f"{len(HELP_SNAPSHOTS)} help snapshots, run options documented"
     )
     return 0
 
