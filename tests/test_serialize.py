@@ -85,27 +85,32 @@ def test_node_extractor_round_trip(extractor):
     assert node_extractor_from_json(payload) == extractor
 
 
+# Fixed case ids: ``hash()`` of these predicates is salted per process, so ids
+# derived from it named the cases differently on every run.
 PREDICATES = [
-    True_(),
-    False_(),
-    CompareConst(NodeVar(), 0, Op.EQ, "Alice"),
-    CompareConst(Parent(NodeVar()), 1, Op.LT, 20),
-    CompareConst(NodeVar(), 0, Op.GE, 3.5),
-    CompareConst(NodeVar(), 0, Op.NE, True),
-    CompareConst(NodeVar(), 0, Op.LE, None),
-    CompareNodes(NodeVar(), 0, Op.EQ, Parent(NodeVar()), 1),
-    CompareNodes(Child(NodeVar(), "id", 0), 2, Op.GT, NodeVar(), 0),
-    And(CompareConst(NodeVar(), 0, Op.EQ, "x"), True_()),
-    Or(False_(), CompareNodes(NodeVar(), 0, Op.EQ, NodeVar(), 1)),
-    Not(CompareConst(NodeVar(), 0, Op.EQ, 1)),
-    And(
-        Or(Not(True_()), CompareConst(NodeVar(), 0, Op.GT, 7)),
-        CompareNodes(Parent(NodeVar()), 0, Op.EQ, Parent(NodeVar()), 1),
+    pytest.param(True_(), id="True_187"),
+    pytest.param(False_(), id="False_187"),
+    pytest.param(CompareConst(NodeVar(), 0, Op.EQ, "Alice"), id="CompareConst7"),
+    pytest.param(CompareConst(Parent(NodeVar()), 1, Op.LT, 20), id="CompareConst365"),
+    pytest.param(CompareConst(NodeVar(), 0, Op.GE, 3.5), id="CompareConst403"),
+    pytest.param(CompareConst(NodeVar(), 0, Op.NE, True), id="CompareConst673"),
+    pytest.param(CompareConst(NodeVar(), 0, Op.LE, None), id="CompareConst899"),
+    pytest.param(CompareNodes(NodeVar(), 0, Op.EQ, Parent(NodeVar()), 1), id="CompareNodes481"),
+    pytest.param(CompareNodes(Child(NodeVar(), "id", 0), 2, Op.GT, NodeVar(), 0), id="CompareNodes861"),
+    pytest.param(And(CompareConst(NodeVar(), 0, Op.EQ, "x"), True_()), id="And58"),
+    pytest.param(Or(False_(), CompareNodes(NodeVar(), 0, Op.EQ, NodeVar(), 1)), id="Or54"),
+    pytest.param(Not(CompareConst(NodeVar(), 0, Op.EQ, 1)), id="Not13"),
+    pytest.param(
+        And(
+            Or(Not(True_()), CompareConst(NodeVar(), 0, Op.GT, 7)),
+            CompareNodes(Parent(NodeVar()), 0, Op.EQ, Parent(NodeVar()), 1),
+        ),
+        id="And856",
     ),
 ]
 
 
-@pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: type(p).__name__ + str(hash(p) % 1000))
+@pytest.mark.parametrize("predicate", PREDICATES)
 def test_predicate_round_trip(predicate):
     payload = json.loads(json.dumps(predicate_to_json(predicate)))
     assert predicate_from_json(payload) == predicate
