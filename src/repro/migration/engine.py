@@ -142,7 +142,9 @@ def consumed_projection(
     Natural-key tables read only the *data* of the columns named in the
     schema (any extra program columns are never read), so the executor may
     collapse value-join groups to per-value representatives — the fused dedup
-    that keeps e.g. the DBLP author link tables linear.  Surrogate-key tables
+    that keeps e.g. the DBLP author link tables linear — and, when the table
+    has a primary key, yield only the first tuple per key value (``key``), as
+    this generator keeps only that one.  Surrogate-key tables
     consume node *identity* (the primary key hashes every node's uid and the
     dropped-key alias bookkeeping must see every collapsed tuple), so they
     get ``None`` — the exact tuple-level semantics.
@@ -155,7 +157,8 @@ def consumed_projection(
         if name in schema.column_names
     }
     return TupleProjection(
-        tuple(DATA if index in used else IGNORED for index in range(arity))
+        tuple(DATA if index in used else IGNORED for index in range(arity)),
+        key=None if schema.primary_key is None else data_columns.index(schema.primary_key),
     )
 
 

@@ -10,10 +10,13 @@ small query planner plus a *streaming* executor:
 1. the predicate is converted to CNF (:mod:`repro.optimizer.cnf`);
 2. *single-column* clauses are pushed down and applied while scanning the
    column they mention;
-3. *equi-join* clauses (equality between two different columns) are executed
-   as hash joins — on node identity when the compared nodes are internal, on
-   **canonical data values** when they are leaves (value-equality joins, e.g.
-   columns related through a shared constant or position value);
+3. *equi-join* clauses are executed as hash joins — on node identity when the
+   compared nodes are internal, on **canonical data values** when they are
+   leaves (value-equality joins, e.g. columns related through a shared
+   constant or position value).  A join clause is a disjunction of EQ
+   comparisons over one pair of columns; a *disjunctive* join (two or more
+   alternatives, e.g. "the movie's first or second genre equals t1") keeps
+   one hash index per alternative and takes the union of their hits;
 4. any residual clauses are applied to the final tuples.
 
 Execution is a generator pipeline: :func:`iter_execute_nodes` yields node
@@ -35,7 +38,16 @@ enumerated, which restores linear output for exactly the quadratic case
 A column is fused only when nothing later in the pipeline can distinguish
 the collapsed nodes: its projection is not ``identity``, no residual clause
 mentions it, and every join clause involving it is applied at its own join
-step.
+step.  The seed column (the first one bound) is collapsed the same way: to
+one node per signature when it has no join, and to one node per (signature,
+join key) when every join reads it through a bare ``NodeVar`` — later steps
+see the seed only through those keys.
+
+**Key cut.**  A projection may also name a ``key`` column: the consumer keeps
+only the first row per data value of that column (a natural-key table's
+primary key).  The walk then skips a key-level node whose value was already
+yielded and, after each yield, abandons the rest of the current key node's
+subtree, so the rows keygen would discard are never enumerated.
 
 Column extraction is memoized so that columns sharing a prefix do not
 re-traverse the document, and ``descendants``/``children`` steps answer from
@@ -50,6 +62,7 @@ streaming variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dsl.ast import (
@@ -59,6 +72,7 @@ from ..dsl.ast import (
     NodeExtractor,
     NodeVar,
     Not,
+    Op,
     Parent,
     Predicate,
     Program,
@@ -77,7 +91,6 @@ from .cnf import (
     Clause,
     clause_column,
     clauses_to_predicate,
-    is_equijoin_clause,
     is_single_column_clause,
     to_cnf_clauses,
 )
@@ -100,14 +113,24 @@ class TupleProjection:
     never read).  Two node tuples that agree on every consumed coordinate are
     interchangeable for the consumer, which is what licenses the executor's
     fused dedup.
+
+    ``key`` (optional) names a :data:`DATA` column whose value the consumer
+    deduplicates on, keeping only the first row per value — a natural-key
+    table's primary key.  The executor then yields exactly those first rows
+    (the key cut) instead of every tuple.
     """
 
     kinds: Tuple[str, ...]
+    key: Optional[int] = None
 
     def __post_init__(self) -> None:
         for kind in self.kinds:
             if kind not in _KINDS:
                 raise ValueError(f"unknown projection kind {kind!r}")
+        if self.key is not None and not (
+            0 <= self.key < len(self.kinds) and self.kinds[self.key] == DATA
+        ):
+            raise ValueError(f"key column {self.key!r} is not a data column of {self.kinds}")
 
     @property
     def arity(self) -> int:
@@ -126,7 +149,8 @@ class ExecutionPlan:
     program: Program
     projection: Optional[TupleProjection] = None
     pushdown: Dict[int, List[Clause]] = field(default_factory=dict)
-    joins: List[CompareNodes] = field(default_factory=list)
+    joins: List[Tuple[CompareNodes, ...]] = field(default_factory=list)
+    """Join clauses: each a disjunction of EQ comparisons over one column pair."""
     residual: List[Clause] = field(default_factory=list)
     fusable: Set[int] = field(default_factory=set)
     stats: Dict[str, int] = field(default_factory=dict)
@@ -141,9 +165,12 @@ class ExecutionPlan:
             f"columns={self.program.arity}",
             f"pushdown_clauses={sum(len(v) for v in self.pushdown.values())}",
             f"hash_joins={len(self.joins)}",
+            f"disjunctive_joins={sum(1 for join in self.joins if len(join) > 1)}",
             f"residual_clauses={len(self.residual)}",
             f"fusable_columns={sorted(self.fusable)}",
         ]
+        if self.projection is not None and self.projection.key is not None:
+            parts.append(f"key_column={self.projection.key}")
         if self.stats:
             parts.append(
                 "value_joins={0}, node_joins={1}, fused_columns={2}".format(
@@ -178,6 +205,24 @@ def _clause_columns(clause: Clause) -> Optional[Set[int]]:
     return columns
 
 
+def _join_clause(clause: Clause) -> Optional[Tuple[CompareNodes, ...]]:
+    """The clause as a hash join, or ``None`` when it is not one.
+
+    A clause is a join when every literal is an EQ :class:`CompareNodes`
+    between the same two different columns; each literal is one alternative
+    of the join.
+    """
+    pair = None
+    for literal in clause:
+        if not isinstance(literal, CompareNodes) or literal.op is not Op.EQ:
+            return None
+        columns = frozenset((literal.left_column, literal.right_column))
+        if len(columns) != 2 or pair not in (None, columns):
+            return None
+        pair = columns
+    return tuple(clause) if pair is not None else None
+
+
 def plan(program: Program, projection: Optional[TupleProjection] = None) -> ExecutionPlan:
     """Compile a program into an execution plan.
 
@@ -188,8 +233,9 @@ def plan(program: Program, projection: Optional[TupleProjection] = None) -> Exec
     clauses = to_cnf_clauses(program.predicate)
     execution = ExecutionPlan(program=program, projection=projection)
     for clause in clauses:
-        if is_equijoin_clause(clause):
-            execution.joins.append(clause[0])  # type: ignore[arg-type]
+        join = _join_clause(clause)
+        if join is not None:
+            execution.joins.append(join)
         elif is_single_column_clause(clause):
             execution.pushdown.setdefault(clause_column(clause), []).append(clause)
         else:
@@ -240,12 +286,17 @@ def iter_execute_nodes(
 ) -> Iterator[NodeTuple]:
     """Stream a program's surviving node tuples without materializing them.
 
-    Tuples are yielded in exactly the order :func:`execute_nodes` would list
-    them.  With a ``projection``, hash-join groups whose members are
-    indistinguishable to the consumer are collapsed to representatives before
-    enumeration (see the module docstring); without one, the tuple stream is
-    the exact filtered cross product.  Pass a pre-compiled ``execution`` plan
-    to reuse planning work and to read back ``execution.stats`` afterwards.
+    Tuples come in the order of a depth-first walk over the join order: the
+    seed column's nodes in document order, and under each partial tuple the
+    next column's matching nodes in document order.  Without a
+    ``projection`` the stream is the exact filtered cross product in that
+    order.  With one, hash-join groups whose members are indistinguishable to
+    the consumer are collapsed to their first representatives before
+    enumeration, and with a ``projection.key`` only the first tuple per key
+    value is yielded (see the module docstring); either way the consumer's
+    first-occurrence rows, and their order, are those of the full stream.
+    Pass a pre-compiled ``execution`` plan to reuse planning work and to read
+    back ``execution.stats`` afterwards.
     """
     if execution is None:
         execution = plan(program, projection)
@@ -348,20 +399,107 @@ def _dedupe_by_signature(nodes: Sequence[Node], kind: str) -> List[Node]:
     return out
 
 
-class _JoinStep:
-    """One join step: bind ``column`` given the already-bound assignment."""
+def _build_index(
+    column: int,
+    literals: Sequence[CompareNodes],
+    nodes: Sequence[Node],
+    key_spaces: List[Set[str]],
+):
+    """One hash index of a join step: the key of every node of ``column``
+    under ``literals`` (one per join clause), and the probe that computes the
+    same key from a partial assignment.  ``key_spaces[i]`` collects the key
+    spaces literal ``i`` met.
+    """
+    build_fns = []
+    probes = []
+    for literal in literals:
+        # If the new column is the right operand of the literal, its key
+        # comes from the right extractor; otherwise from the left one.
+        if literal.right_column == column:
+            build_fns.append(_compile_node_extractor(literal.right_extractor))
+            probes.append((literal.left_column, _compile_node_extractor(literal.left_extractor)))
+        else:
+            build_fns.append(_compile_node_extractor(literal.left_extractor))
+            probes.append((literal.right_column, _compile_node_extractor(literal.right_extractor)))
+    single = len(build_fns) == 1
+    index: Dict[Tuple, List] = {}
+    for node in nodes:
+        if single:
+            key = _key_for(build_fns[0], node)
+            if key is None:
+                continue
+            key_spaces[0].add(key[0])
+        else:
+            parts = []
+            for position, fn in enumerate(build_fns):
+                part = _key_for(fn, node)
+                if part is None:
+                    parts = None
+                    break
+                key_spaces[position].add(part[0])
+                parts.append(part)
+            if parts is None:
+                continue
+            key = tuple(parts)
+        index.setdefault(key, []).append(node)
+    return tuple(probes), index
 
-    __slots__ = ("index", "nodes", "_probes", "_single")
+
+def _probe_key(probes, assignment: List[Optional[Node]]) -> Optional[Tuple]:
+    """The index key a partial assignment probes with (``None``: no match)."""
+    if len(probes) == 1:
+        bound_column, fn = probes[0]
+        return _key_for(fn, assignment[bound_column])
+    parts = []
+    for bound_column, fn in probes:
+        key = _key_for(fn, assignment[bound_column])
+        if key is None:
+            return None
+        parts.append(key)
+    return tuple(parts)
+
+
+def _itself(node: Node) -> Node:
+    return node
+
+
+def _dedupe_seed(nodes: Sequence[Node], kind: str) -> List[Node]:
+    """First occurrence per (projection signature, ``NodeVar`` join key)."""
+    seen: Set = set()
+    out: List[Node] = []
+    for node in nodes:
+        signature = (_signature(node, kind), _key_for(_itself, node))
+        if signature not in seen:
+            seen.add(signature)
+            out.append(node)
+    return out
+
+
+class _JoinStep:
+    """One join step: bind ``column`` given the already-bound assignment.
+
+    A node matches when every join clause of the step has a matching
+    alternative.  Without disjunctive clauses that is one hash index keyed by
+    all clauses at once.  Otherwise the step keeps one index per combination
+    of alternatives (one literal from each clause), and a partial tuple's
+    candidates are the union of the combinations' probe hits, in column
+    (document) order.  Because every key is exact EQ semantics
+    (:func:`_key_for`), the union is exactly the disjunction.
+    """
+
+    __slots__ = ("index", "nodes", "_probes", "_single", "_alternatives", "_kind", "_rank")
 
     def __init__(
         self,
         column: int,
-        joins: List[CompareNodes],
+        joins: List[Tuple[CompareNodes, ...]],
         nodes: Sequence[Node],
         fused: bool,
         kind: str,
         stats: Dict[str, int],
     ) -> None:
+        self._alternatives = None
+        self._kind = kind if fused else None
         if not joins:
             # Disconnected column: nested-loop extension over the column scan
             # (deduped to representatives when fusable).
@@ -370,49 +508,31 @@ class _JoinStep:
             self._probes = ()
             self._single = True
             return
-        # Compile, per clause, the key extractor for the new column's side
-        # and the (bound column, key extractor) probe for the partial side.
-        build_fns = []
-        probes = []
-        for join in joins:
-            # If the new column is the right operand of the clause, its key
-            # comes from the right extractor; otherwise from the left one.
-            if join.right_column == column:
-                build_fns.append(_compile_node_extractor(join.right_extractor))
-                probes.append((join.left_column, _compile_node_extractor(join.left_extractor)))
-            else:
-                build_fns.append(_compile_node_extractor(join.left_extractor))
-                probes.append((join.right_column, _compile_node_extractor(join.right_extractor)))
-        self._probes = tuple(probes)
-        self._single = len(joins) == 1
-
-        index: Dict[Tuple, List[Node]] = {}
         key_spaces: List[Set[str]] = [set() for _ in joins]
-        for node in nodes:
-            if self._single:
-                key = _key_for(build_fns[0], node)
-                if key is None:
-                    continue
-                key_spaces[0].add(key[0])
-            else:
-                parts = []
-                for position, fn in enumerate(build_fns):
-                    part = _key_for(fn, node)
-                    if part is None:
-                        parts = None
-                        break
-                    key_spaces[position].add(part[0])
-                    parts.append(part)
-                if parts is None:
-                    continue
-                key = tuple(parts)
-            index.setdefault(key, []).append(node)
-        if fused:
-            # Collapse every hash group to its representatives *before* any
-            # partial tuple enumerates it — this is the fused dedup.
-            index = {key: _dedupe_by_signature(group, kind) for key, group in index.items()}
-        self.index = index
+        alternatives = []
+        for literals in product(*joins):
+            probes, index = _build_index(column, literals, nodes, key_spaces)
+            if fused:
+                # Collapse every hash group to its representatives *before*
+                # any partial tuple enumerates it — this is the fused dedup.
+                # With several alternatives it is exact before the union too:
+                # the first node per signature in the union is the earliest
+                # of the per-group firsts.
+                index = {
+                    key: group if len(group) < 2 else _dedupe_by_signature(group, kind)
+                    for key, group in index.items()
+                }
+            alternatives.append((probes, index))
         self.nodes = None
+        if len(alternatives) == 1:
+            (self._probes, self.index), = alternatives
+            self._single = len(joins) == 1
+        else:
+            self.index = None
+            self._probes = ()
+            self._single = False
+            self._alternatives = tuple(alternatives)
+            self._rank = {node.uid: position for position, node in enumerate(nodes)}
         # Classify each clause of this step by the key space it joined on.
         for spaces in key_spaces:
             if "d" in spaces:
@@ -423,20 +543,34 @@ class _JoinStep:
     def candidates(self, assignment: List[Optional[Node]]) -> Sequence[Node]:
         """Nodes that may extend the partial assignment at this column."""
         if self.index is None:
-            return self.nodes
+            if self._alternatives is None:
+                return self.nodes
+            return self._union(assignment)
         if self._single:
             bound_column, fn = self._probes[0]
             key = _key_for(fn, assignment[bound_column])
             if key is None:
                 return ()
             return self.index.get(key, ())
-        parts = []
-        for bound_column, fn in self._probes:
-            key = _key_for(fn, assignment[bound_column])
-            if key is None:
-                return ()
-            parts.append(key)
-        return self.index.get(tuple(parts), ())
+        key = _probe_key(self._probes, assignment)
+        if key is None:
+            return ()
+        return self.index.get(key, ())
+
+    def _union(self, assignment: List[Optional[Node]]) -> Sequence[Node]:
+        hits: Dict[int, Node] = {}
+        rank = self._rank
+        for probes, index in self._alternatives:
+            key = _probe_key(probes, assignment)
+            if key is not None:
+                for node in index.get(key, ()):
+                    hits[rank[node.uid]] = node
+        if not hits:
+            return ()
+        union = [hits[position] for position in sorted(hits)]
+        if self._kind is not None and len(union) > 1:
+            union = _dedupe_by_signature(union, self._kind)
+        return union
 
 
 def _join_order(columns: List[List[Node]], joins: List[CompareNodes]) -> List[int]:
@@ -503,14 +637,20 @@ def _iter_rows(execution: ExecutionPlan, tree: HDT) -> Iterator[NodeTuple]:
     stats["pushdown_clauses"] = sum(len(v) for v in execution.pushdown.values())
 
     # ------------------------------------------------------------ join order
-    order = _join_order(columns, execution.joins)
+    # Only single-literal joins steer the order.  The order decides which
+    # row wins a primary key, so a disjunctive join leaves every table the
+    # order of the nested loop it replaces (ordering by fan-out is separate
+    # work).
+    order = _join_order(columns, [join[0] for join in execution.joins if len(join) == 1])
 
     # ------------------------------------------------------------ join steps
-    def joins_involving(column: int) -> List[CompareNodes]:
+    # Every literal of a join clause compares the same two columns, so the
+    # first literal names the pair.
+    def joins_involving(column: int) -> List[Tuple[CompareNodes, ...]]:
         return [
             j
             for j in execution.joins
-            if j.left_column == column or j.right_column == column
+            if j[0].left_column == column or j[0].right_column == column
         ]
 
     bound: Set[int] = {order[0]}
@@ -520,8 +660,8 @@ def _iter_rows(execution: ExecutionPlan, tree: HDT) -> Iterator[NodeTuple]:
         joins_here = [
             j
             for j in execution.joins
-            if (j.left_column in bound and j.right_column == column_index)
-            or (j.right_column in bound and j.left_column == column_index)
+            if (j[0].left_column in bound and j[0].right_column == column_index)
+            or (j[0].right_column in bound and j[0].left_column == column_index)
         ]
         # Fuse only when *every* clause that can see this column is applied
         # right here; a clause deferred to a later step (or to the residual)
@@ -546,9 +686,28 @@ def _iter_rows(execution: ExecutionPlan, tree: HDT) -> Iterator[NodeTuple]:
 
     seed_column = order[0]
     seed_nodes = columns[seed_column]
-    if seed_column in execution.fusable and not joins_involving(seed_column):
-        seed_nodes = _dedupe_by_signature(seed_nodes, kinds[seed_column])
-        fused_columns += 1
+    if seed_column in execution.fusable:
+        seed_joins = joins_involving(seed_column)
+        if not seed_joins:
+            seed_nodes = _dedupe_by_signature(seed_nodes, kinds[seed_column])
+            fused_columns += 1
+        elif all(
+            isinstance(
+                literal.left_extractor
+                if literal.left_column == seed_column
+                else literal.right_extractor,
+                NodeVar,
+            )
+            for join in seed_joins
+            for literal in join
+        ):
+            # Later steps see the seed only through its join keys, and with
+            # bare ``NodeVar`` sides every key is the node's own
+            # ``_key_for``: nodes agreeing on (signature, key) are
+            # interchangeable.  Other seed-side extractors are not worth the
+            # key computations (docs/executor.md, "Seed collapse").
+            seed_nodes = _dedupe_seed(seed_nodes, kinds[seed_column])
+            fused_columns += 1
     stats["fused_columns"] = fused_columns
 
     # --------------------------------------------------------- streamed walk
@@ -564,6 +723,11 @@ def _iter_rows(execution: ExecutionPlan, tree: HDT) -> Iterator[NodeTuple]:
     levels = len(order)
     partial_tuples = 0
     rows_yielded = 0
+    # Key cut: the consumer keeps the first row per key value, by the same
+    # ``node.data`` objects and set semantics as keygen's ``seen_keys``.
+    key_column = projection.key if projection is not None else None
+    key_level = order.index(key_column) if key_column is not None else -1
+    yielded_keys: Set = set()
 
     assignment: List[Optional[Node]] = [None] * arity
     stack: List[Iterator[Node]] = [iter(seed_nodes)]
@@ -573,6 +737,8 @@ def _iter_rows(execution: ExecutionPlan, tree: HDT) -> Iterator[NodeTuple]:
             node = next(stack[level], _DONE)
             if node is _DONE:
                 stack.pop()
+                continue
+            if level == key_level and node.data in yielded_keys:
                 continue
             assignment[order[level]] = node
             partial_tuples += 1
@@ -585,6 +751,10 @@ def _iter_rows(execution: ExecutionPlan, tree: HDT) -> Iterator[NodeTuple]:
             if check_residual and not eval_predicate(residual_predicate, row):
                 continue
             rows_yielded += 1
+            if key_level >= 0:
+                # Every further row under this key node repeats its key.
+                yielded_keys.add(row[key_column].data)
+                del stack[key_level + 1 :]
             yield row
     finally:
         stats["partial_tuples"] = partial_tuples

@@ -116,6 +116,30 @@ def test_plan_classifies_join_clause(orders_tree):
     assert "hash_joins=1" in execution.describe()
 
 
+def test_plan_classifies_disjunctive_join_clauses():
+    """An OR of EQ node comparisons over one column pair is one hash join;
+    a non-EQ literal, a second column pair or a self-comparison keeps the
+    clause residual."""
+    from repro.dsl import Child
+
+    def compare(left, right, op=Op.EQ, tag="a"):
+        return CompareNodes(Child(Parent(NodeVar()), tag, 0), left, op, NodeVar(), right)
+
+    def program(predicate):
+        return Program(TableExtractor(tuple(Descendants(Var(), "a") for _ in range(3))), predicate)
+
+    joined = plan(program(Or(compare(0, 1), compare(1, 0, tag="b"))))
+    assert [len(join) for join in joined.joins] == [2] and not joined.residual
+    assert "disjunctive_joins=1" in joined.describe()
+    for predicate in (
+        Or(compare(0, 1), compare(0, 1, op=Op.NE)),
+        Or(compare(0, 1), compare(0, 2)),
+        Or(compare(0, 1), compare(1, 1)),
+    ):
+        residual = plan(program(predicate))
+        assert not residual.joins and len(residual.residual) == 1
+
+
 def test_execute_matches_naive_semantics(orders_tree):
     program = _join_program()
     assert set(execute(program, orders_tree)) == set(run_program(program, orders_tree))

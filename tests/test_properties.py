@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import functools
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.dsl import (
@@ -27,10 +30,11 @@ from repro.optimizer import (
     execute,
     execute_nodes,
     iter_execute_nodes,
+    plan,
     to_cnf_clauses,
     clauses_to_predicate,
 )
-from repro.optimizer.optimize import DATA
+from repro.optimizer.optimize import DATA, IDENTITY, IGNORED
 from repro.dsl.semantics import eval_column_on_tree, eval_predicate, eval_table, run_program_nodes
 from repro.synthesis.qm import evaluate_dnf, minimize, minterm_to_bits
 from repro.synthesis.set_cover import branch_and_bound_cover, greedy_cover, ilp_cover
@@ -315,6 +319,166 @@ def test_fused_projection_preserves_content_rows(tree, data):
     assert fused == unfused
     naive = _first_occurrence_contents(run_program_nodes(program, tree))
     assert sorted(map(repr, fused)) == sorted(map(repr, naive))
+
+
+@st.composite
+def disjunctive_joins(draw, arity):
+    """``Or`` of 2–3 EQ node comparisons over one column pair, each literal
+    oriented either way: one disjunctive hash-join clause."""
+    pair = draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2, unique=True))
+    sides = st.one_of(st.just(NodeVar()), node_extractors())
+    literals = []
+    for _ in range(draw(st.integers(2, 3))):
+        left, right = pair if draw(st.booleans()) else pair[::-1]
+        literals.append(CompareNodes(draw(sides), left, Op.EQ, draw(sides), right))
+    return functools.reduce(Or, literals)
+
+
+@st.composite
+def disjunctive_programs(draw):
+    """Programs whose predicate holds a disjunctive join, alone, beside a
+    second one, or beside a random predicate."""
+    arity = draw(st.integers(2, 3))
+    columns = tuple(draw(column_extractors()) for _ in range(arity))
+    predicate = draw(disjunctive_joins(arity))
+    extra = draw(st.sampled_from(["none", "join", "random"]))
+    if extra == "join":
+        predicate = And(predicate, draw(disjunctive_joins(arity)))
+    elif extra == "random":
+        predicate = And(predicate, draw(random_predicates(arity)))
+    return Program(TableExtractor(columns), predicate)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(join_trees(), st.data())
+def test_disjunctive_join_matches_formal_semantics(tree, data):
+    """A disjunctive clause runs as a hash join (the union of one index per
+    alternative): its node tuples equal Figure 7's as a multiset, and fused
+    first-occurrence content rows equal unfused ones, order included."""
+    program = data.draw(disjunctive_programs())
+    assert any(len(join) > 1 for join in plan(program).joins)
+
+    def key(rows):
+        return sorted(tuple(node.uid for node in row) for row in rows)
+
+    streamed = list(iter_execute_nodes(program, tree))
+    assert key(streamed) == key(run_program_nodes(program, tree))
+    projection = TupleProjection(tuple(DATA for _ in range(program.arity)))
+    fused = iter_execute_nodes(program, tree, projection=projection)
+    assert _first_occurrence_contents(fused) == _first_occurrence_contents(streamed)
+
+
+#: Leaf-valued columns, so value joins find several partners per node.
+leaf_columns = st.sampled_from(["k", "v", "x"]).map(lambda tag: Descendants(Var(), tag))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    join_trees(),
+    st.one_of(leaf_columns, column_extractors()),
+    st.one_of(leaf_columns, column_extractors()),
+    st.data(),
+)
+def test_disjunctive_join_keeps_nested_loop_order(tree, left, right, data):
+    """Two columns and one disjunctive join: the rows come in the order of the
+    nested loop that checks the clause on every pair — the smaller column
+    outside (the lower index on a tie), both in column order."""
+    program = Program(TableExtractor((left, right)), data.draw(disjunctive_joins(2)))
+    columns = [eval_column_on_tree(extractor, tree) for extractor in (left, right)]
+    outer = min((0, 1), key=lambda column: (len(columns[column]), column))
+    expected = []
+    for first in columns[outer]:
+        for second in columns[1 - outer]:
+            row = (first, second) if outer == 0 else (second, first)
+            if eval_predicate(program.predicate, row):
+                expected.append(tuple(node.uid for node in row))
+    actual = [tuple(node.uid for node in row) for row in iter_execute_nodes(program, tree)]
+    assert actual == expected
+
+
+@st.composite
+def value_join_programs(draw):
+    """The shape of the Table 2 programs: leaf-valued columns, one EQ value
+    join between bare ``NodeVar``s (so hash groups repeat values and the seed
+    collapses on its join key), and up to one more clause of any comparison,
+    possibly OR-ed (non-EQ literals keep a clause out of the joins).  Or no
+    clause at all: a cross product."""
+    arity = draw(st.integers(2, 3))
+    columns = tuple(
+        Descendants(Var(), draw(st.sampled_from(["k", "v", "x", "sub"]))) for _ in range(arity)
+    )
+
+    def pair():
+        return draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2, unique=True))
+
+    def side():
+        return NodeVar() if draw(st.booleans()) else draw(node_extractors())
+
+    def clause():
+        columns = pair()
+        literals = []
+        for _ in range(draw(st.integers(1, 2))):
+            left, right = columns if draw(st.booleans()) else columns[::-1]
+            literals.append(CompareNodes(side(), left, draw(comparison_ops), side(), right))
+        return functools.reduce(Or, literals)
+
+    if draw(st.integers(0, 4)) == 0:
+        return Program(TableExtractor(columns), True_())
+    left, right = pair()
+    predicate = CompareNodes(NodeVar(), left, Op.EQ, NodeVar(), right)
+    if draw(st.booleans()):
+        predicate = And(predicate, clause())
+    return Program(TableExtractor(columns), predicate)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(join_trees(), st.data())
+def test_projection_keeps_first_rows(tree, data):
+    """Under a projection of DATA / IGNORED columns the executor may collapse
+    seeds and hash groups, and with a ``key`` it yields one row per key
+    value.  The rows a natural-key table keeps — the first per key value, or
+    per consumed content without a key — must be full enumeration's: same
+    values in the consumed columns, same order.  Full enumeration itself
+    equals Figure 7 as a multiset."""
+    program = data.draw(st.one_of(random_programs(), disjunctive_programs(), value_join_programs()))
+    arity = program.arity
+    key = data.draw(st.one_of(st.none(), st.integers(0, arity - 1)))
+    kinds = tuple(
+        DATA if column == key else data.draw(st.sampled_from([DATA, IGNORED]))
+        for column in range(arity)
+    )
+
+    def kept(rows):
+        seen, out = set(), []
+        for row in rows:
+            content = tuple(repr(row[c].data) for c in range(arity) if kinds[c] == DATA)
+            identity = content if key is None else row[key].data
+            if identity in seen:
+                continue
+            seen.add(identity)
+            out.append(content)
+        return out
+
+    full = list(iter_execute_nodes(program, tree))
+    assert sorted(tuple(n.uid for n in row) for row in full) == sorted(
+        tuple(n.uid for n in row) for row in run_program_nodes(program, tree)
+    )
+    projected = list(iter_execute_nodes(program, tree, projection=TupleProjection(kinds, key=key)))
+    if key is not None:
+        assert len(kept(projected)) == len(projected)
+    assert kept(projected) == kept(full)
+
+
+def test_tuple_projection_validates_key():
+    assert TupleProjection((IGNORED, DATA), key=1).key == 1
+    for kinds, key in (
+        ((DATA, IGNORED), 1),  # not a data column
+        ((IDENTITY,), 0),
+        ((DATA,), 1),  # out of range
+        ((DATA,), -1),
+    ):
+        with pytest.raises(ValueError, match="key column"):
+            TupleProjection(kinds, key=key)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
