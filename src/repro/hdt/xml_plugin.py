@@ -19,9 +19,10 @@ given tag gets ``pos = i``.
 
 from __future__ import annotations
 
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 from xml.parsers import expat
 
 from .node import Node, Scalar
@@ -34,100 +35,86 @@ TEXT_TAG = "text"
 class XMLRecordIndex:
     """A byte-offset index over a document's records (root's direct children).
 
-    Built in one expat pass (:func:`build_xml_record_index`) — the same
-    O(file) scan the sharded runtime's counting pass already pays — it lets
-    a shard **seek** straight to its record range instead of re-parsing the
-    whole document per shard: ``offsets[i]`` is the byte position of record
-    *i*'s opening ``<``, so the slice ``[offsets[start], offsets[stop])``
-    plus the document preamble and a synthesized root close tag is a valid
-    standalone document containing exactly records ``[start, stop)``
-    (docs/distributed.md#the-xml-byte-offset-record-index).
+    Built in one expat pass (:func:`build_xml_record_index`) — the pass the
+    sharded runtime's counting already pays — it lets a shard **seek**
+    straight to its record window instead of re-parsing the whole document:
+    ``offsets[i]`` is the byte position of record *i*'s opening ``<``, so the
+    preamble ``[0, offsets[0])``, the slice ``[offsets[start],
+    offsets[stop])`` and the tail from ``content_end`` (the root's close tag)
+    form a valid standalone document holding exactly records ``[start,
+    stop)`` (docs/distributed.md#the-xml-byte-offset-record-index).
 
     Offsets always land on the ASCII ``<`` byte, so a slice boundary can
     never split a multi-byte UTF-8 sequence; comments, CDATA and whitespace
     *between* records belong to the preceding slice and are ignored by the
     record parser exactly as they are in a full parse.  ``tags`` (each
-    record's element tag, in document order) lets a mid-document slice seed
-    its per-tag position counters so record positions stay whole-document.
-
-    ``seekable`` is ``False`` for documents using XML namespaces: expat
-    reports raw ``prefix:tag`` names while the ElementTree parse the runtime
-    is canonical against expands them to ``{uri}tag``, so position counters
-    seeded from this index would disagree — such documents fall back to the
-    full-reparse path (identical output, just without the seek).
+    record's tag in ElementTree's ``{uri}local`` form, in document order)
+    lets a mid-document slice seed its per-tag position counters so record
+    positions stay whole-document.  ``size`` is the file's size when indexed:
+    a reader compares it before trusting the offsets.
     """
 
     root_tag: str
     offsets: Tuple[int, ...]
     tags: Tuple[str, ...]
     content_end: int
-    encoding: str = "utf-8"
-    seekable: bool = True
+    size: int
 
     @property
     def record_count(self) -> int:
         return len(self.offsets)
 
 
+def _qualified(name: str) -> str:
+    """An expat ``uri}local`` name in ElementTree's ``{uri}local`` form."""
+    return "{" + name if "}" in name else name
+
+
 def build_xml_record_index(path: str) -> XMLRecordIndex:
     """Index a document's record byte offsets in one streaming expat pass.
 
-    Raises :class:`xml.parsers.expat.ExpatError` on malformed XML — callers
-    that need ElementTree's error surface should fall back to the
-    non-indexed path on that.
+    Malformed XML raises :class:`xml.etree.ElementTree.ParseError` with
+    expat's ``code`` and ``position``, as an ElementTree parse would.
     """
-    parser = expat.ParserCreate()
-    state: Dict[str, object] = {
-        "depth": 0,
-        "root_tag": None,
-        "content_end": -1,
-        "encoding": None,
-        "namespaced": False,
-    }
+    parser = expat.ParserCreate(namespace_separator="}")
+    depth = 0
+    root_tag = ""
+    content_end = 0
     offsets: List[int] = []
     tags: List[str] = []
 
-    def xml_decl(version: str, encoding: Optional[str], standalone: int) -> None:
-        state["encoding"] = encoding
-
     def start_element(name: str, attrs: Dict[str, str]) -> None:
-        depth = state["depth"]
+        nonlocal depth, root_tag
         if depth == 0:
-            state["root_tag"] = name
+            root_tag = _qualified(name)
         elif depth == 1:
             offsets.append(parser.CurrentByteIndex)
-            tags.append(name)
-        if ":" in name or any(
-            key == "xmlns" or key.startswith("xmlns:") for key in attrs
-        ):
-            state["namespaced"] = True
-        state["depth"] = depth + 1
+            tags.append(_qualified(name))
+        depth += 1
 
     def end_element(name: str) -> None:
-        state["depth"] -= 1
-        if state["depth"] == 0:
-            state["content_end"] = parser.CurrentByteIndex
+        nonlocal depth, content_end
+        depth -= 1
+        if depth == 0:
+            content_end = parser.CurrentByteIndex
 
-    parser.XmlDeclHandler = xml_decl
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
     with open(path, "rb") as handle:
-        parser.ParseFile(handle)
-    root_tag = state["root_tag"]
-    if root_tag is None:
-        raise expat.ExpatError("document has no root element")
-    content_end = int(state["content_end"])
-    if content_end < 0:
-        # A root written as <root/> closes in its start token; there are no
-        # records, so any end boundary before EOF works.  Use the root start.
-        content_end = offsets[0] if offsets else 0
+        size = os.fstat(handle.fileno()).st_size
+        try:
+            parser.ParseFile(handle)
+        except expat.ExpatError as error:
+            parse_error = ET.ParseError(str(error))
+            parse_error.code = error.code
+            parse_error.position = (error.lineno, error.offset)
+            raise parse_error from error
     return XMLRecordIndex(
-        root_tag=str(root_tag),
+        root_tag=root_tag,
         offsets=tuple(offsets),
         tags=tuple(tags),
         content_end=content_end,
-        encoding=str(state["encoding"] or "utf-8"),
-        seekable=not bool(state["namespaced"]),
+        size=size,
     )
 
 
@@ -159,7 +146,7 @@ def element_to_node(element: ET.Element, pos: int = 0, *, coerce_numbers: bool =
 
     This is the record-level entry point used by the streaming runtime
     (:mod:`repro.runtime.streaming`), which parses documents incrementally
-    with ``iterparse`` and converts one record subtree at a time.
+    with a pull parser and converts one record subtree at a time.
     """
     return _convert_element(element, pos=pos, coerce=coerce_numbers)
 

@@ -3,7 +3,6 @@
 from .cnf import (
     clause_column,
     clauses_to_predicate,
-    is_equijoin_clause,
     is_single_column_clause,
     push_negations,
     to_cnf_clauses,
@@ -20,7 +19,6 @@ from .optimize import (
 __all__ = [
     "clause_column",
     "clauses_to_predicate",
-    "is_equijoin_clause",
     "is_single_column_clause",
     "push_negations",
     "to_cnf_clauses",

@@ -94,22 +94,6 @@ def clauses_to_predicate(clauses: Sequence[Clause]) -> Predicate:
     return conjoin(disjoin(clause) for clause in clauses)
 
 
-def is_equijoin_clause(clause: Clause) -> bool:
-    """Is this clause a single node-equality literal linking two *different* columns?
-
-    Such clauses can be executed as hash joins rather than post-filters
-    (Appendix C's prefix-sharing optimization plays the same role).
-    """
-    if len(clause) != 1:
-        return False
-    literal = clause[0]
-    if not isinstance(literal, CompareNodes):
-        return False
-    from ..dsl.ast import Op
-
-    return literal.op is Op.EQ and literal.left_column != literal.right_column
-
-
 def is_single_column_clause(clause: Clause) -> bool:
     """Does every literal of the clause refer to a single, common column?
 

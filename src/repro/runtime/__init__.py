@@ -106,11 +106,9 @@ from .sharded import (
     ShardError,
     ShardSpec,
     auto_shard_count,
-    clear_source_caches,
     partition_records,
     resolve_shard_count,
     shard_execute,
-    shard_source,
     validate_spill,
 )
 from .supervisor import RetryPolicy, ShardFailure, ShardSupervisor
@@ -137,12 +135,13 @@ from .verify import (
 from .spec_diff import SpecDiff, TableChange, diff_specs, reusable_plans
 from .streaming import (
     Chunk,
+    clear_source_caches,
     clone_subtree,
     count_json_records,
-    count_xml_records,
     iter_json_chunks,
     iter_tree_chunks,
     iter_xml_chunks,
+    shard_source,
     stream_execute,
 )
 
@@ -191,7 +190,6 @@ __all__ = [
     "verify_backend",
     "verify_rows",
     "count_json_records",
-    "count_xml_records",
     "canonical_database_rows",
     "canonical_table_rows",
     "execute_plan",

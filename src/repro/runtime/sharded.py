@@ -32,9 +32,11 @@ plan fingerprint, per-table row counts).  A worker crash, a truncated file,
 or a spill produced by a different plan surfaces as :class:`ShardError` at
 reduce time — never as silently missing rows.
 
-Shardable inputs are wrapped as :class:`ShardSource`\\ s: an in-memory
-:class:`~repro.hdt.tree.HDT`, an XML or JSON document on disk, or a
-directory of documents (:func:`shard_source` picks the right one).
+What a record is, and how a window of records is read, is defined once, in
+:mod:`repro.runtime.streaming`: :func:`~repro.runtime.streaming.shard_source`
+wraps an in-memory :class:`~repro.hdt.tree.HDT`, an XML or JSON document on
+disk, or a directory of documents as a :class:`~repro.runtime.streaming.
+ShardSource`.  This module only partitions, maps and reduces.
 
 The map stage is *supervised* (:class:`~repro.runtime.supervisor.
 ShardSupervisor`): each shard runs as isolated per-attempt processes with
@@ -66,25 +68,15 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..hdt.tree import HDT
-from ..hdt.xml_plugin import XMLRecordIndex, build_xml_record_index
 from .backends.base import ExecutionBackend, Row
 from .backends.memory import MemoryBackend
 from .executor import ChunkMerger, ExecutionReport, compile_plan_executions, run_chunk
 from .faults import FaultContext, FaultPlan, activation as fault_activation, resolve_plan
 from .plan import MigrationPlan
-from .streaming import (
-    DEFAULT_CHUNK_SIZE,
-    Chunk,
-    count_json_records,
-    count_xml_records,
-    iter_indexed_xml_chunks,
-    iter_json_chunks,
-    iter_tree_chunks,
-    iter_xml_chunks,
-)
+from .streaming import DEFAULT_CHUNK_SIZE, ShardError, ShardSource, shard_source
 from .supervisor import RetryPolicy, ShardFailure, ShardSupervisor
 from .transport import LocalTransport, ShardMapJob, ShardTransport
 
@@ -92,10 +84,6 @@ from .transport import LocalTransport, ShardMapJob, ShardTransport
 SPILL_BATCH_ROWS = 4096
 
 _SPILL_MAGIC = "repro-shard-spill/1"
-
-
-class ShardError(Exception):
-    """Sharded execution failed: bad partitioning, corrupt or partial spills."""
 
 
 class ShardDegradedError(ShardError):
@@ -210,261 +198,6 @@ def resolve_shard_count(
             raise ShardError(f'shards must be an integer or "auto" (got {shards!r})')
         return auto_shard_count(records, cores=cores, chunk_size=chunk_size)
     return int(shards)
-
-
-# --------------------------------------------------------------------------- #
-# Shardable sources
-# --------------------------------------------------------------------------- #
-
-
-#: ``(abspath, size, mtime_ns) -> XMLRecordIndex`` / record count.  The
-#: counting pass used to re-scan the source once per ``shard_execute`` call —
-#: resume and dry-run paid it twice.  Keyed by a content fingerprint of the
-#: file's identity+stat, so an edited file re-counts and an unchanged one
-#: never does.  Bounded: oldest entries evicted past the cap.
-_XML_INDEX_CACHE: Dict[Tuple[str, int, int], XMLRecordIndex] = {}
-_JSON_COUNT_CACHE: Dict[Tuple[str, int, int], int] = {}
-_SOURCE_CACHE_MAX = 64
-
-
-def _source_cache_key(path: str) -> Optional[Tuple[str, int, int]]:
-    """A file's cache identity, or ``None`` for anything unstat-able
-    (missing files, inline JSON content strings)."""
-    try:
-        stat = os.stat(path)
-    except (OSError, ValueError):
-        return None
-    return (os.path.abspath(path), stat.st_size, stat.st_mtime_ns)
-
-
-def _cache_put(cache: Dict, key, value) -> None:
-    if len(cache) >= _SOURCE_CACHE_MAX:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-
-
-def clear_source_caches() -> None:
-    """Drop the cached XML indexes and JSON counts (tests, memory pressure)."""
-    _XML_INDEX_CACHE.clear()
-    _JSON_COUNT_CACHE.clear()
-
-
-class ShardSource:
-    """A document (or document set) that can be read by record range.
-
-    ``count_records()`` runs once in the parent to drive
-    :func:`partition_records`; ``iter_chunks(start, stop, chunk_size)`` runs
-    in each worker and must yield the records with document sequence numbers
-    in ``[start, stop)`` — with the same tags/positions they would have in a
-    whole-document parse, so shard boundaries are invisible to programs.
-    """
-
-    def count_records(self) -> int:
-        raise NotImplementedError
-
-    def iter_chunks(self, start: int, stop: int, chunk_size: int) -> Iterator[Chunk]:
-        raise NotImplementedError
-
-
-class TreeSource(ShardSource):
-    """Shard an already-materialized :class:`HDT` (tests, benchmarks, demo mode)."""
-
-    def __init__(self, tree: HDT) -> None:
-        self.tree = tree
-
-    def count_records(self) -> int:
-        return len(self.tree.root.children)
-
-    def iter_chunks(self, start: int, stop: int, chunk_size: int) -> Iterator[Chunk]:
-        return iter_tree_chunks(self.tree, chunk_size, record_range=(start, stop))
-
-
-class XMLSource(ShardSource):
-    """Shard an XML file.
-
-    The counting pass builds a byte-offset record index
-    (:func:`~repro.hdt.xml_plugin.build_xml_record_index`) — cached by the
-    file's identity+stat and carried to workers inside the pickled source —
-    so each shard *seeks* to its record range and parses O(range) bytes,
-    instead of re-parsing the whole document per shard.  Documents the
-    index cannot serve (namespaced, or unparseable by expat) fall back to
-    the full incremental reparse with identical output.
-    """
-
-    def __init__(self, path: str, *, coerce_numbers: bool = True) -> None:
-        self.path = path
-        self.coerce_numbers = coerce_numbers
-        self._index: Optional[XMLRecordIndex] = None
-        self._index_failed = False
-        self._count: Optional[int] = None
-
-    def record_index(self) -> Optional[XMLRecordIndex]:
-        if self._index is not None or self._index_failed:
-            return self._index
-        key = _source_cache_key(self.path)
-        if key is not None and key in _XML_INDEX_CACHE:
-            self._index = _XML_INDEX_CACHE[key]
-            return self._index
-        try:
-            index = build_xml_record_index(self.path)
-        except Exception:  # noqa: BLE001 - expat/OS failures fall back below,
-            # so malformed documents keep ElementTree's error surface.
-            self._index_failed = True
-            return None
-        self._index = index
-        if key is not None:
-            _cache_put(_XML_INDEX_CACHE, key, index)
-        return index
-
-    def count_records(self) -> int:
-        if self._count is None:
-            index = self.record_index()
-            self._count = (
-                index.record_count if index is not None else count_xml_records(self.path)
-            )
-        return self._count
-
-    def iter_chunks(self, start: int, stop: int, chunk_size: int) -> Iterator[Chunk]:
-        index = self.record_index()
-        if index is not None and index.seekable:
-            return iter_indexed_xml_chunks(
-                self.path,
-                index,
-                chunk_size,
-                coerce_numbers=self.coerce_numbers,
-                record_range=(start, stop),
-            )
-        return iter_xml_chunks(
-            self.path,
-            chunk_size,
-            coerce_numbers=self.coerce_numbers,
-            record_range=(start, stop),
-        )
-
-
-class JSONSource(ShardSource):
-    """Shard a JSON document (path or already-decoded value).
-
-    File-backed counts are cached by the file's identity+stat (the stdlib
-    has no incremental JSON parser, so the count is a full decode — worth
-    paying exactly once per file version); inline content and decoded
-    values memoize on the instance only.
-    """
-
-    def __init__(self, source: Union[str, list, dict]) -> None:
-        self.source = source
-        self._count: Optional[int] = None
-
-    def _cache_key(self) -> Optional[Tuple[str, int, int]]:
-        if not isinstance(self.source, str):
-            return None
-        stripped = self.source.lstrip()
-        if stripped.startswith("{") or stripped.startswith("["):
-            return None  # inline JSON content, not a path
-        return _source_cache_key(self.source)
-
-    def count_records(self) -> int:
-        if self._count is not None:
-            return self._count
-        key = self._cache_key()
-        if key is not None and key in _JSON_COUNT_CACHE:
-            self._count = _JSON_COUNT_CACHE[key]
-            return self._count
-        self._count = count_json_records(self.source)
-        if key is not None:
-            _cache_put(_JSON_COUNT_CACHE, key, self._count)
-        return self._count
-
-    def iter_chunks(self, start: int, stop: int, chunk_size: int) -> Iterator[Chunk]:
-        return iter_json_chunks(self.source, chunk_size, record_range=(start, stop))
-
-
-class DocumentSetSource(ShardSource):
-    """Shard a *directory* of documents: their records, concatenated.
-
-    Files contribute records in the given (sorted) order; a shard is a
-    contiguous window of that concatenation, so one shard may span a file
-    boundary and a large file may be split across shards.  Records keep
-    their per-document tags and positions (each file is parsed as its own
-    document), and records of different files never share a chunk.
-    """
-
-    def __init__(self, paths: Sequence[str], fmt: str) -> None:
-        if fmt not in ("xml", "json"):
-            raise ShardError(f'document format must be "xml" or "json" (got {fmt!r})')
-        if not paths:
-            raise ShardError("document set is empty")
-        self.paths = list(paths)
-        self.fmt = fmt
-        self._counts: Optional[List[int]] = None
-
-    def _sources(self) -> List[ShardSource]:
-        if self.fmt == "xml":
-            return [XMLSource(path) for path in self.paths]
-        return [JSONSource(path) for path in self.paths]
-
-    def count_records(self) -> int:
-        if self._counts is None:
-            # Cached (and carried through pickling to the workers) so the
-            # per-file counting pass runs once, in the parent.
-            self._counts = [source.count_records() for source in self._sources()]
-        return sum(self._counts)
-
-    def iter_chunks(self, start: int, stop: int, chunk_size: int) -> Iterator[Chunk]:
-        self.count_records()
-        assert self._counts is not None
-        offset = 0
-        for source, count in zip(self._sources(), self._counts):
-            file_start, file_stop = max(start - offset, 0), min(stop - offset, count)
-            if file_start < file_stop:
-                yield from source.iter_chunks(file_start, file_stop, chunk_size)
-            offset += count
-            if offset >= stop:
-                break
-
-
-def shard_source(
-    source: Union[ShardSource, HDT, str], fmt: Optional[str] = None
-) -> ShardSource:
-    """Wrap a tree, a document path, or a directory as a :class:`ShardSource`.
-
-    For paths, ``fmt`` (``"xml"``/``"json"``) decides the parser; when
-    omitted it is inferred from the file extension.  A directory shards the
-    concatenation of its ``.xml``/``.json`` files in sorted name order.
-    """
-    if isinstance(source, ShardSource):
-        return source
-    if isinstance(source, HDT):
-        return TreeSource(source)
-    if not isinstance(source, str):
-        raise ShardError(f"cannot shard {type(source).__name__} objects")
-    if os.path.isdir(source):
-        by_format = {
-            kind: sorted(
-                name for name in os.listdir(source) if name.endswith("." + kind)
-            )
-            for kind in ("xml", "json")
-        }
-        if fmt is None:
-            present = [kind for kind, names in by_format.items() if names]
-            if len(present) > 1:
-                raise ShardError(
-                    f"directory {source} mixes .xml and .json documents; "
-                    f'pass fmt="xml" or fmt="json" to pick one set'
-                )
-            fmt = present[0] if present else None
-        names = by_format.get(fmt or "", [])
-        if not names:
-            raise ShardError(f"no shardable documents in directory {source}")
-        return DocumentSetSource([os.path.join(source, n) for n in names], fmt)
-    resolved = fmt or ("xml" if source.endswith(".xml") else "json" if source.endswith(".json") else None)
-    if resolved == "xml":
-        return XMLSource(source)
-    if resolved == "json":
-        return JSONSource(source)
-    raise ShardError(
-        f'cannot infer document format of {source!r}; pass fmt="xml" or fmt="json"'
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -20,8 +20,7 @@ from ..hdt.json_plugin import json_file_to_hdt
 from ..hdt.tree import HDT
 from ..hdt.xml_plugin import xml_file_to_hdt
 from ..migration.engine import MigrationSpec, TableExampleSpec
-from .sharded import ShardError, TreeSource, shard_source
-from .streaming import iter_json_chunks, iter_tree_chunks, iter_xml_chunks
+from .streaming import ShardError, ShardSource, TreeSource, shard_source
 
 
 class UsageError(Exception):
@@ -139,27 +138,19 @@ class Spec:
         raise UsageError('spec is missing required key "document"')
 
     def document_chunks(self, chunk_size: int):
-        """The full dataset as a bounded-memory chunk stream."""
-        if self.get("document"):
-            path = self._document_path()
-            if self.format == "xml":
-                return iter_xml_chunks(path, chunk_size)
-            return iter_json_chunks(path, chunk_size)
-        if self.dataset_bundle is not None:
-            return iter_tree_chunks(
-                self.dataset_bundle.generate(self.get_int("scale", 5)), chunk_size
-            )
-        raise UsageError('spec is missing required key "document"')
+        """The full dataset as a bounded-memory chunk stream (one file)."""
+        return self._source(allow_directory=False).iter_chunks(0, None, chunk_size)
 
-    def sharded_source(self):
-        """The full dataset as a :class:`~repro.runtime.sharded.ShardSource`.
+    def sharded_source(self) -> ShardSource:
+        """The full dataset as a :class:`~repro.runtime.streaming.ShardSource`:
+        a single XML/JSON file *or a directory* of documents (sharded
+        execution is the one mode that accepts directories), or a demo-mode
+        dataset's materialized tree."""
+        return self._source(allow_directory=True)
 
-        A document path may name a single XML/JSON file *or a directory* of
-        documents (sharded execution is the one mode that accepts
-        directories); demo-mode datasets shard their materialized tree.
-        """
+    def _source(self, allow_directory: bool) -> ShardSource:
         if self.get("document"):
-            path = self._document_path(allow_directory=True)
+            path = self._document_path(allow_directory)
             try:
                 fmt: Optional[str] = self.format
             except UsageError:

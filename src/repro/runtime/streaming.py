@@ -1,4 +1,4 @@
-"""Streaming (chunked) plan execution with bounded memory.
+"""Streaming (chunked) plan execution with bounded memory, and the record readers.
 
 The whole-tree path materializes the entire document as an HDT before any
 program runs — fine for research benchmarks, fatal for a multi-gigabyte DBLP
@@ -28,37 +28,62 @@ Merging handles everything else:
   through the alias table (referenced tables are always merged before
   referencing ones).
 
-Chunk iterators:
+**What a record is** — one direct child of the document root — is decided
+in this module and nowhere else, once per format:
 
-* :func:`iter_xml_chunks` — true incremental parsing via
-  ``xml.etree.ElementTree.iterparse``; peak memory is one chunk of records;
-* :func:`iter_json_chunks` — top-level array/object chunking (the stdlib has
-  no incremental JSON parser, so the decoded value is materialized once, but
-  the far larger per-record node structures exist only one chunk at a time);
-* :func:`iter_tree_chunks` — chunk an already-built HDT by cloning record
-  subtrees (used by tests and benchmarks).
+* XML: :func:`_xml_records`, one pull-parser walk over byte blocks (a whole
+  file, or a window spliced from the byte-offset index of
+  :func:`~repro.hdt.xml_plugin.build_xml_record_index`, which finds record
+  boundaries by the same depth-one rule); peak memory is one chunk;
+* JSON: :func:`_iter_json_records` — a top-level array's elements, or a
+  top-level object's pairs with array values flattened (the stdlib has no
+  incremental JSON parser, so the decoded value is materialized once);
+* an HDT: its root's children, cloned.
+
+:func:`_chunked` batches any of them into :class:`Chunk`\\ s, converting
+only the records in a ``[start, stop)`` window.  The public iterators
+(:func:`iter_xml_chunks`, :func:`iter_json_chunks`, :func:`iter_tree_chunks`)
+and the :class:`ShardSource` classes (:func:`shard_source`) are thin
+wrappers over those two pieces.
 
 :func:`stream_execute` is serial: one process parses, executes and merges
-chunk after chunk.  Parallel execution over the same chunks is
+chunk after chunk.  Parallel execution over the same sources is
 :func:`repro.runtime.sharded.shard_execute`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import chain
+from typing import (
+    IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..hdt.json_plugin import ITEM_TAG, ROOT_TAG, json_value_to_node
 from ..hdt.node import Node, Scalar
 from ..hdt.tree import HDT
 from ..hdt.xml_plugin import _coerce as coerce_xml_scalar
-from ..hdt.xml_plugin import element_to_node
+from ..hdt.xml_plugin import XMLRecordIndex, build_xml_record_index, element_to_node
 from .executor import ExecutionBackend, ExecutionReport, run_serial
 from .plan import MigrationPlan
 
 DEFAULT_CHUNK_SIZE = 1000
+
+#: Bytes per read of the XML walk: ``iterparse``'s own read size.  A larger
+#: block queues more parsed-but-unconsumed elements per feed, which measured
+#: slower (64 KiB: about 20 % on a 6.3 MB DBLP file).
+_BLOCK_SIZE = 16 * 1024
+
+Extras = Sequence[Tuple[str, int, Scalar]]
+
+
+class ShardError(Exception):
+    """Sharded execution failed: bad partitioning, corrupt or partial spills,
+    or a source that changed after its records were counted."""
 
 
 @dataclass
@@ -71,332 +96,58 @@ class Chunk:
 
 
 # --------------------------------------------------------------------------- #
-# Chunk iterators
+# The batcher
 # --------------------------------------------------------------------------- #
 
 
-def _normalize_record_range(
-    record_range: Optional[Tuple[int, int]],
-) -> Tuple[int, Optional[int]]:
-    """Validate a ``(start, stop)`` record range; ``None`` means everything."""
+def _window(record_range: Optional[Tuple[int, Optional[int]]]) -> Tuple[int, Optional[int]]:
+    """Validate a ``(start, stop)`` record range; a ``None`` stop (or range)
+    reads to the end."""
     if record_range is None:
         return 0, None
     start, stop = record_range
-    if start < 0 or stop < start:
+    if start < 0 or (stop is not None and stop < start):
         raise ValueError(f"invalid record range {record_range!r}")
     return start, stop
 
 
-def iter_xml_chunks(
-    source: Union[str, IO],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    coerce_numbers: bool = True,
-    record_range: Optional[Tuple[int, int]] = None,
-    tag_positions: Optional[Dict[str, int]] = None,
+def _chunked(
+    records: Iterable[Any],
+    convert: Callable[[Any], Node],
+    chunk_size: int,
+    start: int = 0,
+    stop: Optional[int] = None,
+    root: Callable[[], Tuple[str, Extras]] = lambda: (ROOT_TAG, ()),
 ) -> Iterator[Chunk]:
-    """Incrementally parse an XML file into record chunks.
+    """Batch raw ``records`` (document order) into chunks of converted ones.
 
-    ``source`` is a filesystem path or an open (binary or text) file object.
-    Each direct child of the document root is one record; records keep their
-    whole-document positions (per-tag counters run across chunks), so
-    position-sensitive extractors behave as they would on the full tree.
-    Root-level *attributes* are replicated into every chunk (they become leaf
-    children of the root in the whole-tree mapping, and programs may read
-    them); root-level *text* in mixed content is not reconstructed — it is
-    not fully available until the document ends.  Parsed elements are
-    discarded as soon as they are converted, so peak memory is one chunk,
-    not one document.
-
-    ``record_range=(start, stop)`` restricts the output to records with
-    document sequence numbers in ``[start, stop)`` — the unit the sharded
-    runtime partitions on.  Skipped records are still parsed (and counted,
-    so per-tag positions stay whole-document) but never converted to nodes,
-    and parsing stops early once ``stop`` is reached.
-
-    ``tag_positions`` seeds the per-tag position counters — the hook the
-    byte-offset index path (:func:`iter_indexed_xml_chunks`) uses to start
-    parsing mid-document while keeping whole-document record positions.
+    Only records with sequence numbers in ``[start, stop)`` reach
+    ``convert``; earlier ones are read past unconverted, and reading ends at
+    ``stop``.  ``root()`` gives each chunk's root tag and the leaf
+    ``(tag, pos, data)`` extras replicated into every chunk.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    start_record, stop_record = _normalize_record_range(record_range)
-    context = ET.iterparse(source, events=("start", "end"))
-    depth = 0
-    document_root: Optional[ET.Element] = None
-    root_tag = ROOT_TAG
-    root_extras: List[Tuple[str, int, Scalar]] = []
-    tag_counts: Dict[str, int] = dict(tag_positions) if tag_positions else {}
-    records: List[Node] = []
-    index = 0
-    sequence = 0
-    for event, element in context:
-        if event == "start":
-            depth += 1
-            if document_root is None:
-                document_root = element
-                root_tag = element.tag
-                root_extras = [
-                    (name, 0, coerce_xml_scalar(value) if coerce_numbers else value)
-                    for name, value in element.attrib.items()
-                ]
-            continue
-        depth -= 1
-        if depth != 1:
-            continue
-        pos = tag_counts.get(element.tag, 0)
-        tag_counts[element.tag] = pos + 1
-        in_range = sequence >= start_record and (
-            stop_record is None or sequence < stop_record
-        )
-        sequence += 1
-        if in_range:
-            records.append(element_to_node(element, pos, coerce_numbers=coerce_numbers))
-        element.clear()
-        if document_root is not None:
-            # Drop the (now empty) element from the root so the ElementTree
-            # side of the parse stays O(chunk) too.
-            try:
-                document_root.remove(element)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        if len(records) >= chunk_size:
-            yield _make_chunk(root_tag, records, index, extras=root_extras)
-            records = []
-            index += 1
-        if stop_record is not None and sequence >= stop_record:
-            break
-    if records:
-        yield _make_chunk(root_tag, records, index, extras=root_extras)
-
-
-def count_xml_records(source: Union[str, IO]) -> int:
-    """Count an XML document's records (root's direct children), incrementally.
-
-    The cheap first pass of sharded execution: elements are discarded as soon
-    as they close, so the count runs in bounded memory like
-    :func:`iter_xml_chunks` does.
-    """
-    context = ET.iterparse(source, events=("start", "end"))
-    depth = 0
-    count = 0
-    root: Optional[ET.Element] = None
-    for event, element in context:
-        if event == "start":
-            depth += 1
-            if root is None:
-                root = element
-            continue
-        depth -= 1
-        if depth == 1:
-            count += 1
-            element.clear()
-            if root is not None:
-                try:
-                    root.remove(element)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-    return count
-
-
-class _ByteSpliceReader:
-    """A read-only binary file-like over ``preamble + file[start:stop] + suffix``.
-
-    Feeds :func:`xml.etree.ElementTree.iterparse` a mid-document byte slice
-    as if it were a complete document, without materializing the slice: the
-    middle segment streams straight from the underlying file.
-    """
-
-    def __init__(self, path: str, preamble: bytes, start: int, stop: int, suffix: bytes):
-        self._handle = open(path, "rb")
-        self._handle.seek(start)
-        self._remaining = max(0, stop - start)
-        self._head = preamble
-        self._tail = suffix
-        self.closed = False
-
-    def read(self, size: int = -1) -> bytes:
-        if size is None or size < 0:
-            pieces = [self._head]
-            if self._remaining:
-                pieces.append(self._handle.read(self._remaining))
-                self._remaining = 0
-            pieces.append(self._tail)
-            self._head = b""
-            self._tail = b""
-            return b"".join(pieces)
-        out = bytearray()
-        while len(out) < size:
-            want = size - len(out)
-            if self._head:
-                out += self._head[:want]
-                self._head = self._head[want:]
-            elif self._remaining:
-                piece = self._handle.read(min(want, self._remaining))
-                if not piece:
-                    self._remaining = 0  # file shrank underneath us; stop cleanly
-                    continue
-                self._remaining -= len(piece)
-                out += piece
-            elif self._tail:
-                out += self._tail[:want]
-                self._tail = self._tail[want:]
-            else:
-                break
-        return bytes(out)
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._handle.close()
-
-    def __enter__(self) -> "_ByteSpliceReader":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def iter_indexed_xml_chunks(
-    path: str,
-    index,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    coerce_numbers: bool = True,
-    record_range: Optional[Tuple[int, int]] = None,
-) -> Iterator[Chunk]:
-    """Like :func:`iter_xml_chunks` over a file, but *seek* to the record
-    range using a :class:`~repro.hdt.xml_plugin.XMLRecordIndex` instead of
-    parsing every record before ``start`` — the difference between O(range)
-    and O(file) per shard.
-
-    The yielded chunks are identical to the full-reparse path's: the spliced
-    document keeps the original preamble (XML declaration, doctype, the root
-    start tag with its attributes), and per-tag position counters are seeded
-    from the index so record positions stay whole-document.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    if not index.seekable:
-        raise ValueError("index is not seekable (namespaced document)")
-    start, stop = _normalize_record_range(record_range)
-    total = index.record_count
-    start = min(start, total)
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
+    if stop is not None and stop <= start:
         return
-    with open(path, "rb") as handle:
-        preamble = handle.read(index.offsets[0])
-    end_byte = index.offsets[stop] if stop < total else index.content_end
-    suffix = f"</{index.root_tag}>".encode(index.encoding)
-    positions: Dict[str, int] = {}
-    for tag in index.tags[:start]:
-        positions[tag] = positions.get(tag, 0) + 1
-    with _ByteSpliceReader(path, preamble, index.offsets[start], end_byte, suffix) as reader:
-        for chunk in iter_xml_chunks(
-            reader,
-            chunk_size,
-            coerce_numbers=coerce_numbers,
-            tag_positions=positions,
-        ):
-            yield chunk
-
-
-def iter_json_chunks(
-    source: Union[str, IO, list, dict],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    record_range: Optional[Tuple[int, int]] = None,
-) -> Iterator[Chunk]:
-    """Chunk a JSON document by its top-level records.
-
-    ``source`` is a path, an open file object, a JSON string, or an
-    already-decoded value.  A top-level array contributes one record per
-    element (tag ``item``, array positions preserved); a top-level object
-    contributes one record per key/value pair, with array values flattened
-    into repeated same-tag records exactly as :func:`repro.hdt.json_to_hdt`
-    flattens them.  ``record_range=(start, stop)`` restricts the output to
-    the records with sequence numbers in ``[start, stop)``; skipped records
-    are never converted to node structures.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    start_record, stop_record = _normalize_record_range(record_range)
-    value = _decode_json_source(source)
-    records: List[Node] = []
+    batch: List[Node] = []
     index = 0
-    for sequence, (tag, pos, item) in enumerate(_iter_json_records(value)):
-        if stop_record is not None and sequence >= stop_record:
+    for sequence, record in enumerate(records):
+        if sequence >= start:
+            batch.append(convert(record))
+            if len(batch) == chunk_size:
+                yield _make_chunk(batch, index, *root())
+                batch = []
+                index += 1
+        if stop is not None and sequence + 1 >= stop:
             break
-        if sequence < start_record:
-            continue
-        records.append(json_value_to_node(tag, pos, item))
-        if len(records) >= chunk_size:
-            yield _make_chunk(ROOT_TAG, records, index)
-            records = []
-            index += 1
-    if records:
-        yield _make_chunk(ROOT_TAG, records, index)
+    if batch:
+        yield _make_chunk(batch, index, *root())
 
 
-def count_json_records(source: Union[str, IO, list, dict]) -> int:
-    """Count a JSON document's records as :func:`iter_json_chunks` defines them."""
-    return sum(1 for _ in _iter_json_records(_decode_json_source(source)))
-
-
-def iter_tree_chunks(
-    tree: HDT,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    record_range: Optional[Tuple[int, int]] = None,
-) -> Iterator[Chunk]:
-    """Chunk an already-materialized HDT by cloning its record subtrees.
-
-    The source tree is left untouched (records are deep-cloned into each
-    chunk), which makes this iterator suitable for comparing streaming and
-    whole-tree execution on the same document.  ``record_range=(start,
-    stop)`` clones only the records in that window.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    start_record, stop_record = _normalize_record_range(record_range)
-    records: List[Node] = []
-    index = 0
-    for sequence, child in enumerate(tree.root.children):
-        if stop_record is not None and sequence >= stop_record:
-            break
-        if sequence < start_record:
-            continue
-        records.append(clone_subtree(child))
-        if len(records) >= chunk_size:
-            yield _make_chunk(tree.root.tag, records, index)
-            records = []
-            index += 1
-    if records:
-        yield _make_chunk(tree.root.tag, records, index)
-
-
-def clone_subtree(node: Node) -> Node:
-    """Deep-copy a subtree into fresh nodes (new uids, no parent)."""
-    copy = Node(node.tag, node.pos, node.data)
-    stack = [(node, copy)]
-    while stack:
-        original, clone = stack.pop()
-        for child in original.children:
-            child_clone = clone.new_child(child.tag, child.pos, child.data)
-            if child.children:
-                stack.append((child, child_clone))
-    return copy
-
-
-def _make_chunk(
-    root_tag: str,
-    records: List[Node],
-    index: int,
-    extras: Optional[List[Tuple[str, int, Scalar]]] = None,
-) -> Chunk:
+def _make_chunk(records: List[Node], index: int, root_tag: str, extras: Extras = ()) -> Chunk:
     root = Node(root_tag, 0, None)
-    for tag, pos, data in extras or ():
+    for tag, pos, data in extras:
         # Fresh leaf nodes per chunk: chunks must not share Node objects.
         root.new_child(tag, pos, data)
     for record in records:
@@ -404,13 +155,160 @@ def _make_chunk(
     return Chunk(tree=HDT(root), index=index, records=len(records))
 
 
+def _changed(path: str) -> ShardError:
+    return ShardError(f"{path} changed after its records were counted; count it again")
+
+
+def _exactly(records: Iterable[Any], expected: int, path: str) -> Iterator[Any]:
+    """Pass ``records`` through, failing closed unless there are exactly
+    ``expected`` of them (a window of a file that changed since counting)."""
+    seen = 0
+    for record in records:
+        seen += 1
+        if seen > expected:
+            break
+        yield record
+    if seen != expected:
+        raise _changed(path)
+
+
+# --------------------------------------------------------------------------- #
+# XML
+# --------------------------------------------------------------------------- #
+
+
+def _read_blocks(handle: IO, size: Optional[int] = None) -> Iterator[Union[bytes, str]]:
+    """``handle``'s content in blocks, at most ``size`` bytes when given."""
+    while size is None or size > 0:
+        block = handle.read(_BLOCK_SIZE if size is None else min(_BLOCK_SIZE, size))
+        if not block:
+            return
+        if size is not None:
+            size -= len(block)
+        yield block
+
+
+def _file_blocks(path: str) -> Iterator[bytes]:
+    with open(path, "rb") as handle:
+        yield from _read_blocks(handle)
+
+
+def _window_blocks(path: str, index: XMLRecordIndex, start: int, stop: int) -> Iterator[bytes]:
+    """A standalone document holding records ``[start, stop)``: the preamble,
+    the window's bytes and the root's close tag.  Fails closed when the
+    file's size is not the indexed one."""
+    with open(path, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size != index.size:
+            raise _changed(path)
+        yield handle.read(index.offsets[0])
+        handle.seek(index.offsets[start])
+        end = index.offsets[stop] if stop < index.record_count else index.content_end
+        yield from _read_blocks(handle, end - index.offsets[start])
+        handle.seek(index.content_end)
+        yield handle.read()
+
+
+def _xml_records(
+    blocks: Iterable[Union[bytes, str]],
+    head: Dict[str, Any],
+    tag_positions: Optional[Dict[str, int]] = None,
+) -> Iterator[Tuple[ET.Element, int]]:
+    """The XML walk: yield each record element with its per-tag position.
+
+    Positions count on from ``tag_positions`` (a window carries the counts of
+    the records before it).  ``head`` receives the root's ``tag`` and
+    ``attrib`` when the root opens.  A record is cleared and dropped from the
+    root once the consumer moves past it, so the parse holds one record at a
+    time.  A malformed or truncated document raises ``ET.ParseError``.
+    """
+    parser = ET.XMLPullParser(events=("start", "end"))
+    counts = dict(tag_positions or {})
+    depth = 0
+    document_root: Optional[ET.Element] = None
+    for block in chain(blocks, [None]):
+        if block is None:
+            parser.close()
+        else:
+            parser.feed(block)
+        for event, element in parser.read_events():
+            if event == "start":
+                depth += 1
+                if document_root is None:
+                    document_root = element
+                    head.update(tag=element.tag, attrib=element.attrib)
+                continue
+            depth -= 1
+            if depth == 1:
+                pos = counts.get(element.tag, 0)
+                counts[element.tag] = pos + 1
+                yield element, pos
+                element.clear()
+                document_root.remove(element)
+
+
+def _xml_chunks(
+    records: Iterable[Tuple[ET.Element, int]],
+    head: Dict[str, Any],
+    chunk_size: int,
+    coerce_numbers: bool,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> Iterator[Chunk]:
+    """Chunk an XML walk.  The root's attributes ride along in every chunk as
+    leaf children, as in a whole-tree parse; root-level text in mixed
+    content is not reconstructed (it is not complete until the end)."""
+
+    def convert(record: Tuple[ET.Element, int]) -> Node:
+        element, pos = record
+        return element_to_node(element, pos, coerce_numbers=coerce_numbers)
+
+    def root() -> Tuple[str, Extras]:
+        return head["tag"], [
+            (name, 0, coerce_xml_scalar(value) if coerce_numbers else value)
+            for name, value in head["attrib"].items()
+        ]
+
+    return _chunked(records, convert, chunk_size, start, stop, root)
+
+
+def iter_xml_chunks(
+    source: Union[str, IO],
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    *,
+    coerce_numbers: bool = True,
+    record_range: Optional[Tuple[int, Optional[int]]] = None,
+) -> Iterator[Chunk]:
+    """Incrementally parse an XML file into record chunks.
+
+    ``source`` is a filesystem path or an open (binary or text) file object.
+    Records keep their whole-document positions (per-tag counters run across
+    chunks), so position-sensitive extractors behave as they would on the
+    full tree.  ``record_range=(start, stop)`` restricts the output to the
+    records with sequence numbers in ``[start, stop)``: earlier records are
+    parsed (and counted) but never converted, and parsing stops at ``stop``.
+    """
+    start, stop = _window(record_range)
+    blocks = _file_blocks(source) if isinstance(source, str) else _read_blocks(source)
+    head: Dict[str, Any] = {}
+    return _xml_chunks(_xml_records(blocks, head), head, chunk_size, coerce_numbers, start, stop)
+
+
+# --------------------------------------------------------------------------- #
+# JSON and trees
+# --------------------------------------------------------------------------- #
+
+
+def _is_inline_json(source: object) -> bool:
+    """A string holding JSON content rather than naming a file."""
+    return isinstance(source, str) and source.lstrip()[:1] in ("{", "[")
+
+
 def _decode_json_source(source: Union[str, IO, list, dict]) -> Any:
     if isinstance(source, (list, dict)):
         return source
+    if _is_inline_json(source):
+        return json.loads(source)
     if isinstance(source, str):
-        stripped = source.lstrip()
-        if stripped.startswith("{") or stripped.startswith("["):
-            return json.loads(source)
         with open(source, "r", encoding="utf-8") as handle:
             return json.load(handle)
     return json.load(source)
@@ -430,6 +328,285 @@ def _iter_json_records(value: Any) -> Iterator[Tuple[str, int, Any]]:
                 yield str(key), 0, val
         return
     raise ValueError("top-level JSON value must be an array or an object")
+
+
+def _json_node(record: Tuple[str, int, Any]) -> Node:
+    return json_value_to_node(*record)
+
+
+def iter_json_chunks(
+    source: Union[str, IO, list, dict],
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    *,
+    record_range: Optional[Tuple[int, Optional[int]]] = None,
+) -> Iterator[Chunk]:
+    """Chunk a JSON document by its top-level records.
+
+    ``source`` is a path, an open file object, a JSON string, or an
+    already-decoded value.  A top-level array contributes one record per
+    element (tag ``item``, array positions preserved); a top-level object
+    contributes one record per key/value pair, with array values flattened
+    into repeated same-tag records exactly as :func:`repro.hdt.json_to_hdt`
+    flattens them.  ``record_range=(start, stop)`` restricts the output to
+    the records with sequence numbers in ``[start, stop)``; skipped records
+    are never converted to node structures.
+    """
+    start, stop = _window(record_range)
+    records = _iter_json_records(_decode_json_source(source))
+    yield from _chunked(records, _json_node, chunk_size, start, stop)
+
+
+def count_json_records(source: Union[str, IO, list, dict]) -> int:
+    """Count a JSON document's records as :func:`iter_json_chunks` defines them."""
+    return sum(1 for _ in _iter_json_records(_decode_json_source(source)))
+
+
+def iter_tree_chunks(
+    tree: HDT,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    *,
+    record_range: Optional[Tuple[int, Optional[int]]] = None,
+) -> Iterator[Chunk]:
+    """Chunk an already-materialized HDT by cloning its record subtrees.
+
+    The source tree is left untouched (records are deep-cloned into each
+    chunk), which makes this iterator suitable for comparing streaming and
+    whole-tree execution on the same document.  ``record_range=(start,
+    stop)`` clones only the records in that window.
+    """
+    start, stop = _window(record_range)
+    return _chunked(
+        tree.root.children, clone_subtree, chunk_size, start, stop, lambda: (tree.root.tag, ())
+    )
+
+
+def clone_subtree(node: Node) -> Node:
+    """Deep-copy a subtree into fresh nodes (new uids, no parent)."""
+    copy = Node(node.tag, node.pos, node.data)
+    stack = [(node, copy)]
+    while stack:
+        original, clone = stack.pop()
+        for child in original.children:
+            child_clone = clone.new_child(child.tag, child.pos, child.data)
+            if child.children:
+                stack.append((child, child_clone))
+    return copy
+
+
+# --------------------------------------------------------------------------- #
+# Sources: a document read by record window
+# --------------------------------------------------------------------------- #
+
+
+#: ``(abspath, size, mtime_ns, reader) -> reader(path)``: a file's XML record
+#: index or JSON record count, so resume and dry-run never re-scan an
+#: unchanged file while an edited one is read again.  Bounded: the oldest
+#: entry is evicted past the cap.
+_SOURCE_CACHE: Dict[Tuple[str, int, int, Callable[[str], Any]], Any] = {}
+_SOURCE_CACHE_MAX = 64
+
+
+def _file_cached(path: str, read: Callable[[str], Any]) -> Any:
+    """``read(path)``, memoized by the file's identity and stat."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return read(path)
+    key = (os.path.abspath(path), stat.st_size, stat.st_mtime_ns, read)
+    if key not in _SOURCE_CACHE:
+        if len(_SOURCE_CACHE) >= _SOURCE_CACHE_MAX:
+            _SOURCE_CACHE.pop(next(iter(_SOURCE_CACHE)))
+        _SOURCE_CACHE[key] = read(path)
+    return _SOURCE_CACHE[key]
+
+
+def clear_source_caches() -> None:
+    """Drop the cached XML indexes and JSON counts (tests, memory pressure)."""
+    _SOURCE_CACHE.clear()
+
+
+class ShardSource:
+    """A document (or document set) that can be read by record window.
+
+    ``count_records()`` runs once, in the sharded runtime's parent, to drive
+    :func:`~repro.runtime.sharded.partition_records`; the source — with what
+    counting learned — is then pickled to the workers.  ``iter_chunks(start,
+    stop, chunk_size)`` yields the records with sequence numbers in
+    ``[start, stop)`` (``stop=None``: to the end) with the tags and positions
+    they have in a whole-document parse, so window boundaries are invisible
+    to programs.
+    """
+
+    def count_records(self) -> int:
+        raise NotImplementedError
+
+    def iter_chunks(self, start: int, stop: Optional[int], chunk_size: int) -> Iterator[Chunk]:
+        raise NotImplementedError
+
+
+class TreeSource(ShardSource):
+    """An already-materialized :class:`HDT` (tests, benchmarks, demo mode)."""
+
+    def __init__(self, tree: HDT) -> None:
+        self.tree = tree
+
+    def count_records(self) -> int:
+        return len(self.tree.root.children)
+
+    def iter_chunks(self, start: int, stop: Optional[int], chunk_size: int) -> Iterator[Chunk]:
+        return iter_tree_chunks(self.tree, chunk_size, record_range=(start, stop))
+
+
+class XMLSource(ShardSource):
+    """An XML file.
+
+    Counting builds the byte-offset record index
+    (:func:`~repro.hdt.xml_plugin.build_xml_record_index`, cached by the
+    file's identity and stat); a window then *seeks* to its records and parses
+    O(window) bytes.  A read from record 0 before any count walks the file
+    without building the index.  A window of a file whose size or record
+    count no longer matches the index raises :class:`ShardError`.
+    """
+
+    def __init__(self, path: str, *, coerce_numbers: bool = True) -> None:
+        self.path = path
+        self.coerce_numbers = coerce_numbers
+        self._index: Optional[XMLRecordIndex] = None
+
+    def record_index(self) -> XMLRecordIndex:
+        if self._index is None:
+            self._index = _file_cached(self.path, build_xml_record_index)
+        return self._index
+
+    def count_records(self) -> int:
+        return self.record_index().record_count
+
+    def iter_chunks(self, start: int, stop: Optional[int], chunk_size: int) -> Iterator[Chunk]:
+        if start == 0 and self._index is None:
+            return iter_xml_chunks(
+                self.path, chunk_size, coerce_numbers=self.coerce_numbers, record_range=(0, stop)
+            )
+        index = self.record_index()
+        stop = index.record_count if stop is None else min(stop, index.record_count)
+        start = min(start, stop)
+        if start == stop:
+            return iter(())
+        head: Dict[str, Any] = {}
+        records = _xml_records(
+            _window_blocks(self.path, index, start, stop), head, Counter(index.tags[:start])
+        )
+        return _xml_chunks(
+            _exactly(records, stop - start, self.path), head, chunk_size, self.coerce_numbers
+        )
+
+
+class JSONSource(ShardSource):
+    """A JSON document: a path, inline content or an already-decoded value.
+
+    Counting decodes the whole document (the stdlib has no incremental JSON
+    parser); a file's count is cached by its identity and stat.  The count
+    travels with the source, and a read whose decode disagrees with it
+    raises :class:`ShardError`.
+    """
+
+    def __init__(self, source: Union[str, list, dict]) -> None:
+        self.source = source
+        self._count: Optional[int] = None
+
+    def count_records(self) -> int:
+        if self._count is None:
+            if isinstance(self.source, str) and not _is_inline_json(self.source):
+                self._count = _file_cached(self.source, count_json_records)
+            else:
+                self._count = count_json_records(self.source)
+        return self._count
+
+    def iter_chunks(self, start: int, stop: Optional[int], chunk_size: int) -> Iterator[Chunk]:
+        value = _decode_json_source(self.source)
+        if self._count is not None and count_json_records(value) != self._count:
+            raise _changed(str(self.source))
+        yield from _chunked(_iter_json_records(value), _json_node, chunk_size, start, stop)
+
+
+class DocumentSetSource(ShardSource):
+    """A *directory* of documents: their records, concatenated.
+
+    Files contribute records in the given (sorted) order; a window of the
+    concatenation may span a file boundary, and a large file may be split
+    across shards.  Records keep their per-document tags and positions (each
+    file is its own document), and records of different files never share a
+    chunk.  Each file's source — and so its count or index — travels with
+    this one.
+    """
+
+    def __init__(self, paths: Sequence[str], fmt: str) -> None:
+        if fmt not in ("xml", "json"):
+            raise ShardError(f'document format must be "xml" or "json" (got {fmt!r})')
+        if not paths:
+            raise ShardError("document set is empty")
+        self.paths = list(paths)
+        self.fmt = fmt
+        kind = XMLSource if fmt == "xml" else JSONSource
+        self.sources: List[ShardSource] = [kind(path) for path in self.paths]
+
+    def count_records(self) -> int:
+        return sum(source.count_records() for source in self.sources)
+
+    def iter_chunks(self, start: int, stop: Optional[int], chunk_size: int) -> Iterator[Chunk]:
+        offset = 0
+        for source in self.sources:
+            count = source.count_records()
+            file_start = max(start - offset, 0)
+            file_stop = count if stop is None else min(stop - offset, count)
+            if file_start < file_stop:
+                yield from source.iter_chunks(file_start, file_stop, chunk_size)
+            offset += count
+            if stop is not None and offset >= stop:
+                break
+
+
+def shard_source(
+    source: Union[ShardSource, HDT, str], fmt: Optional[str] = None
+) -> ShardSource:
+    """Wrap a tree, a document path, or a directory as a :class:`ShardSource`.
+
+    For paths, ``fmt`` (``"xml"``/``"json"``) decides the parser; when
+    omitted it is inferred from the file extension.  A directory shards the
+    concatenation of its ``.xml``/``.json`` files in sorted name order.
+    """
+    if isinstance(source, ShardSource):
+        return source
+    if isinstance(source, HDT):
+        return TreeSource(source)
+    if not isinstance(source, str):
+        raise ShardError(f"cannot shard {type(source).__name__} objects")
+    if os.path.isdir(source):
+        by_format = {
+            kind: sorted(
+                name for name in os.listdir(source) if name.endswith("." + kind)
+            )
+            for kind in ("xml", "json")
+        }
+        if fmt is None:
+            present = [kind for kind, names in by_format.items() if names]
+            if len(present) > 1:
+                raise ShardError(
+                    f"directory {source} mixes .xml and .json documents; "
+                    f'pass fmt="xml" or fmt="json" to pick one set'
+                )
+            fmt = present[0] if present else None
+        names = by_format.get(fmt or "", [])
+        if not names:
+            raise ShardError(f"no shardable documents in directory {source}")
+        return DocumentSetSource([os.path.join(source, n) for n in names], fmt)
+    resolved = fmt or ("xml" if source.endswith(".xml") else "json" if source.endswith(".json") else None)
+    if resolved == "xml":
+        return XMLSource(source)
+    if resolved == "json":
+        return JSONSource(source)
+    raise ShardError(
+        f'cannot infer document format of {source!r}; pass fmt="xml" or fmt="json"'
+    )
 
 
 # --------------------------------------------------------------------------- #

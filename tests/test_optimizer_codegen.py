@@ -34,7 +34,6 @@ from repro.hdt import build_tree, json_to_hdt, xml_to_hdt
 from repro.optimizer import (
     execute,
     execute_nodes,
-    is_equijoin_clause,
     plan,
     push_negations,
     to_cnf_clauses,
@@ -90,8 +89,6 @@ def test_to_cnf_conjunction_splits_clauses():
     b = CompareNodes(NodeVar(), 0, Op.EQ, NodeVar(), 1)
     clauses = to_cnf_clauses(And(a, b))
     assert len(clauses) == 2
-    assert is_equijoin_clause(clauses[1])
-    assert not is_equijoin_clause(clauses[0])
 
 
 def test_to_cnf_distributes_disjunction():

@@ -10,13 +10,16 @@ execution-mode flag validation.
 import json
 import os
 import pickle
+import tempfile
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.datasets import dblp
-from repro.hdt import build_tree, xml_file_to_hdt
+from repro.hdt import HDT, Node, build_tree, json_file_to_hdt, xml_file_to_hdt
 from repro.hdt.xml_plugin import hdt_to_xml
 from repro.relational import ColumnDef, DatabaseSchema, TableSchema
 from repro.runtime import (
@@ -35,12 +38,8 @@ from repro.runtime.cli import main as cli_main
 from repro.runtime.plan import TablePlan
 from repro.runtime.service import CHECKPOINT_MANIFEST_NAME, ShardCheckpoint
 from repro.runtime.sharded import (
-    DocumentSetSource,
-    JSONSource,
     ShardSpec,
     SpillWriter,
-    TreeSource,
-    XMLSource,
     _spill_path,
     execute_shard,
     iter_spill,
@@ -48,8 +47,11 @@ from repro.runtime.sharded import (
     validate_spill,
 )
 from repro.runtime.streaming import (
+    DocumentSetSource,
+    JSONSource,
+    TreeSource,
+    XMLSource,
     count_json_records,
-    count_xml_records,
     iter_tree_chunks,
 )
 
@@ -129,7 +131,7 @@ def test_count_records_helpers(tmp_path):
     xml_path = str(tmp_path / "doc.xml")
     with open(xml_path, "w", encoding="utf-8") as handle:
         handle.write(hdt_to_xml(tree))
-    assert count_xml_records(xml_path) == 5
+    assert XMLSource(xml_path).count_records() == 5
     assert count_json_records([{"v": i} for i in range(4)]) == 4
     json_path = str(tmp_path / "doc.json")
     with open(json_path, "w", encoding="utf-8") as handle:
@@ -437,19 +439,39 @@ def single_record_trees(draw):
 
 
 @st.composite
-def multi_record_trees(draw):
-    scalars = st.sampled_from([0, 1, "a"])
-    doc = {
-        "item": [
-            {
-                "k": draw(scalars),
-                "v": draw(scalars),
-                "sub": [{"x": draw(scalars)} for _ in range(draw(st.integers(0, 1)))],
-            }
-            for _ in range(draw(st.integers(1, 4)))
-        ]
-    }
-    return build_tree(doc, tag="root")
+def multi_record_trees(draw, documents=False):
+    """Several root records.  With ``documents=True`` the trees take every
+    shape a serialized document can: mixed record tags, plain and
+    namespaced (``{uri}local``, children in their record's namespace),
+    multibyte text, and root attributes as the root's leading leaves."""
+    if not documents:
+        scalars = st.sampled_from([0, 1, "a"])
+        doc = {
+            "item": [
+                {
+                    "k": draw(scalars),
+                    "v": draw(scalars),
+                    "sub": [{"x": draw(scalars)} for _ in range(draw(st.integers(0, 1)))],
+                }
+                for _ in range(draw(st.integers(1, 4)))
+            ]
+        }
+        return build_tree(doc, tag="root")
+    text = st.sampled_from([0, 1, "a", "中文", "é è", "δοκιμή"])
+    root = Node("root", 0, None)
+    for name in draw(st.lists(st.sampled_from(["version", "lang"]), unique=True, max_size=2)):
+        root.new_child(name, 0, draw(text))
+    positions = {}
+    for _ in range(draw(st.integers(0, 6))):
+        tag = draw(st.sampled_from(["item", "row", "{urn:a}item", "{urn:b}row"]))
+        namespace = tag[: tag.index("}") + 1] if tag.startswith("{") else ""
+        positions[tag] = positions.get(tag, -1) + 1
+        record = root.new_child(tag, positions[tag], None)
+        record.new_child(namespace + "k", 0, draw(text))
+        record.new_child(namespace + "v", 0, draw(text))
+        if draw(st.booleans()):
+            record.new_child(namespace + "sub", 0, None).new_child(namespace + "x", 0, draw(text))
+    return HDT(root)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -493,6 +515,154 @@ def test_sharded_is_boundary_invariant(tree, data):
         backend = MemoryBackend(validate=False)
         shard_execute(plan, tree, backend, shards=shards, workers=1, chunk_size=1)
         assert _rows_multiset(backend) == reference
+
+
+# --------------------------------------------------------------------------- #
+# One oracle for what a record is: every source against a whole-tree parse
+# --------------------------------------------------------------------------- #
+
+#: How a namespaced record is written: prefixes declared on the root, a
+#: default namespace declared on the record, or a prefix the record declares.
+NAMESPACE_STYLES = ("prefixed", "default", "redeclared")
+_PREFIXES = {"urn:a": "a", "urn:b": "b"}
+
+
+def _xml_element(node, style, top):
+    uri, local = node.tag[1:].split("}") if node.tag.startswith("{") else ("", node.tag)
+    name, declare = local, ""
+    if uri and style == "prefixed":
+        name = f"{_PREFIXES[uri]}:{local}"
+    elif uri and style == "default":
+        declare = f' xmlns="{uri}"' if top else ""
+    elif uri:
+        name, declare = f"p:{local}", (f' xmlns:p="{uri}"' if top else "")
+    if node.is_leaf():
+        inner = escape(str(node.data))
+    else:
+        inner = "".join(_xml_element(child, style, False) for child in node.children)
+    return f"<{name}{declare}>{inner}</{name}>"
+
+
+def _document_xml(tree, style):
+    """The tree as an XML document: root leaves become root attributes."""
+    attributes = "".join(
+        f' {leaf.tag}="{escape(str(leaf.data))}"' for leaf in tree.root.children if leaf.is_leaf()
+    )
+    if style == "prefixed":
+        attributes += "".join(f' xmlns:{p}="{uri}"' for uri, p in _PREFIXES.items())
+    records = "\n  <!-- record -->".join(
+        _xml_element(record, style, True) for record in tree.root.children if not record.is_leaf()
+    )
+    return f'<?xml version="1.0" encoding="UTF-8"?>\n<root{attributes}>\n  {records}\n</root>'
+
+
+def _json_body(node):
+    return node.data if node.is_leaf() else {c.tag: _json_body(c) for c in node.children}
+
+
+def _document_json(tree, as_array):
+    """The tree's records as a JSON array, or as an object of per-tag lists
+    plus one scalar pair per root leaf."""
+    if as_array:
+        return json.dumps(
+            [_json_body(r) for r in tree.root.children if not r.is_leaf()], ensure_ascii=False
+        )
+    value = {}
+    for record in tree.root.children:
+        if record.is_leaf():
+            value[record.tag] = record.data
+        else:
+            value.setdefault(record.tag, []).append(_json_body(record))
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _shape(node):
+    return (node.tag, node.pos, node.data, tuple(_shape(c) for c in node.children))
+
+
+def _write(directory, name, text):
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
+def _counted(source):
+    source.count_records()
+    return source
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    multi_record_trees(documents=True),
+    st.sampled_from(NAMESPACE_STYLES),
+    st.booleans(),
+    st.data(),
+)
+def test_every_source_reads_the_records_of_a_whole_parse(tree, style, as_array, data):
+    """For every source and random ``(start, stop, chunk_size)``: the count is
+    the whole parse's record count, and the chunks' records are the whole
+    parse's ``records[start:stop]`` as (tag, pos, data) subtrees.  XML root
+    attributes ride along in every chunk; they are not records."""
+    with tempfile.TemporaryDirectory() as directory:
+        xml_text = _document_xml(tree, style)
+        xml_path = _write(directory, "a.xml", xml_text)
+        copy_path = _write(directory, "b.xml", xml_text)
+        json_path = _write(directory, "doc.json", _document_json(tree, as_array))
+        whole = xml_file_to_hdt(xml_path)
+        # The writer is faithful: namespaces parse back to the tree's tags.
+        assert _shape(whole.root) == _shape(tree.root)
+        attributes = sum(1 for child in tree.root.children if child.is_leaf())
+        root_leaves = [_shape(c) for c in whole.root.children[:attributes]]
+        xml_records = [_shape(c) for c in whole.root.children[attributes:]]
+        json_records = [_shape(c) for c in json_file_to_hdt(json_path).root.children]
+        cases = [
+            ("xml, read before counting", lambda: XMLSource(xml_path), xml_records, attributes),
+            ("xml, seeked", lambda: _counted(XMLSource(xml_path)), xml_records, attributes),
+            ("json", lambda: JSONSource(json_path), json_records, 0),
+            ("tree", lambda: TreeSource(whole), [_shape(c) for c in whole.root.children], 0),
+            (
+                "two-file document set",
+                lambda: _counted(DocumentSetSource([xml_path, copy_path], "xml")),
+                xml_records * 2,
+                attributes,
+            ),
+        ]
+        for name, make, expected, extras in cases:
+            start = data.draw(st.integers(0, len(expected)), label=f"{name} start")
+            stop = data.draw(st.integers(start, len(expected)), label=f"{name} stop")
+            chunk_size = data.draw(st.integers(1, 4), label=f"{name} chunk_size")
+            source = make()
+            chunks = list(source.iter_chunks(start, stop, chunk_size))
+            assert source.count_records() == len(expected), name
+            records = [_shape(r) for c in chunks for r in c.tree.root.children[extras:]]
+            assert records == expected[start:stop], name
+            for chunk in chunks:
+                assert 0 < chunk.records <= chunk_size, name
+                if extras:
+                    assert [_shape(c) for c in chunk.tree.root.children[:extras]] == root_leaves
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(multi_record_trees(documents=True), st.sampled_from(NAMESPACE_STYLES), st.booleans())
+def test_truncated_documents_never_read_short(tree, style, as_array):
+    """Every strict prefix of a document is malformed: counting and reading
+    must raise, never return fewer records."""
+    documents = (
+        ("doc.xml", _document_xml(tree, style), XMLSource),
+        ("doc.json", _document_json(tree, as_array), JSONSource),
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text, kind in documents:
+            raw = text.encode("utf-8")
+            path = os.path.join(directory, name)
+            for cut in range(len(raw)):
+                with open(path, "wb") as handle:
+                    handle.write(raw[:cut])
+                with pytest.raises((ET.ParseError, ValueError, ShardError)):
+                    kind(path).count_records()
+                with pytest.raises((ET.ParseError, ValueError, ShardError)):
+                    list(kind(path).iter_chunks(0, None, 2))
 
 
 # --------------------------------------------------------------------------- #

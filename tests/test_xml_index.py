@@ -1,16 +1,16 @@
 """The XML byte-offset record index, source-count caching, and shard
-auto-tuning (PR 9).
+auto-tuning.
 
-The counting pass over an XML source now builds a byte-offset index of
-record boundaries (`build_xml_record_index`), so a shard *seeks* to its
-record window instead of re-parsing the whole document.  These tests pin
-the contract: seeking must equal a full reparse on DBLP-style documents
-with comments, CDATA sections, and multi-byte UTF-8 straddling shard
-boundaries; documents the index cannot serve (namespaces) fall back with
-identical output; counts and indexes are cached by the file's
-identity+stat so resume/dry-run never re-scan an unchanged source; and
-`--shards auto` sizes the partition from records x cores x chunk size at
-pinned, deterministic points.
+The counting pass over an XML source builds a byte-offset index of record
+boundaries (`build_xml_record_index`), so a shard *seeks* to its record
+window instead of re-parsing the whole document.  These tests pin the
+contract: seeking must equal a full reparse on DBLP-style documents with
+comments, CDATA sections, namespaces, and multi-byte UTF-8 straddling shard
+boundaries; malformed documents raise ElementTree's `ParseError`; a file
+that changed after it was counted fails closed; counts and indexes are
+cached by the file's identity+stat so resume/dry-run never re-scan an
+unchanged source; and `--shards auto` sizes the partition from records x
+cores x chunk size at pinned, deterministic points.
 """
 
 import json
@@ -33,19 +33,17 @@ from repro.runtime import (
 )
 from repro.runtime.cli import main as cli_main
 from repro.runtime.sharded import (
-    _JSON_COUNT_CACHE,
-    _XML_INDEX_CACHE,
     MIN_AUTO_SHARD_RECORDS,
-    JSONSource,
+    ShardDegradedError,
     ShardError,
-    XMLSource,
     auto_shard_count,
-    clear_source_caches,
     resolve_shard_count,
 )
 from repro.runtime.streaming import (
-    count_xml_records,
-    iter_indexed_xml_chunks,
+    _SOURCE_CACHE,
+    JSONSource,
+    XMLSource,
+    clear_source_caches,
     iter_xml_chunks,
 )
 
@@ -81,6 +79,14 @@ def _records(chunks):
     return out
 
 
+def _seeked(path, chunk_size, record_range):
+    """A record window read the way a shard reads it: through a counted
+    source, which seeks with the byte-offset index."""
+    source = XMLSource(path)
+    source.count_records()
+    return source.iter_chunks(*record_range, chunk_size)
+
+
 # --------------------------------------------------------------------------- #
 # Index structure
 # --------------------------------------------------------------------------- #
@@ -91,9 +97,8 @@ def test_index_structure_on_tricky_document(tricky_path):
     assert index.root_tag == "dblp"
     assert index.tags == ("article", "book", "article")
     assert index.record_count == 3
-    assert index.seekable
-    assert index.encoding.lower() == "utf-8"
     raw = open(tricky_path, "rb").read()
+    assert index.size == len(raw)
     # Every offset lands on the ASCII '<' that opens its record element, so
     # a byte splice can never split a multi-byte sequence.
     for offset, tag in zip(index.offsets, index.tags):
@@ -106,8 +111,8 @@ def test_index_structure_on_tricky_document(tricky_path):
 
 
 def test_index_counts_match_streaming_counter(tricky_path):
-    assert build_xml_record_index(tricky_path).record_count == count_xml_records(
-        tricky_path
+    assert build_xml_record_index(tricky_path).record_count == sum(
+        chunk.records for chunk in iter_xml_chunks(tricky_path, 2)
     )
 
 
@@ -119,12 +124,7 @@ def test_index_counts_match_streaming_counter(tricky_path):
 @pytest.mark.parametrize("record_range", [(0, 3), (0, 1), (1, 2), (2, 3), (1, 3), (3, 3)])
 @pytest.mark.parametrize("chunk_size", [1, 2, 10])
 def test_seek_equals_full_reparse(tricky_path, record_range, chunk_size):
-    index = build_xml_record_index(tricky_path)
-    seeked = _records(
-        iter_indexed_xml_chunks(
-            tricky_path, index, chunk_size, record_range=record_range
-        )
-    )
+    seeked = _records(_seeked(tricky_path, chunk_size, record_range))
     reparsed = _records(
         iter_xml_chunks(tricky_path, chunk_size, record_range=record_range)
     )
@@ -138,11 +138,11 @@ def test_seek_equals_reparse_on_generated_dblp(tmp_path):
         handle.write(hdt_to_xml(document))
     index = build_xml_record_index(path)
     total = index.record_count
-    assert total == count_xml_records(path)
+    assert total == XMLSource(path).count_records()
     for record_range in ((0, total), (0, total // 2), (total // 2, total), (1, total - 1)):
-        assert _records(
-            iter_indexed_xml_chunks(path, index, 3, record_range=record_range)
-        ) == _records(iter_xml_chunks(path, 3, record_range=record_range))
+        assert _records(_seeked(path, 3, record_range)) == _records(
+            iter_xml_chunks(path, 3, record_range=record_range)
+        )
 
 
 def test_multibyte_straddles_every_shard_boundary(tmp_path):
@@ -158,18 +158,15 @@ def test_multibyte_straddles_every_shard_boundary(tmp_path):
     assert index.record_count == 9
     for start in range(9):
         window = (start, start + 1)
-        assert _records(
-            iter_indexed_xml_chunks(str(path), index, 1, record_range=window)
-        ) == _records(iter_xml_chunks(str(path), 1, record_range=window))
+        assert _records(_seeked(str(path), 1, window)) == _records(
+            iter_xml_chunks(str(path), 1, record_range=window)
+        )
 
 
 def test_tag_positions_are_preserved_across_windows(tricky_path):
     """A seeked window's records keep their whole-document per-tag positions
     (the second `article` is article pos=1 even when read alone)."""
-    index = build_xml_record_index(tricky_path)
-    records = _records(
-        iter_indexed_xml_chunks(tricky_path, index, 1, record_range=(2, 3))
-    )
+    records = _records(_seeked(tricky_path, 1, (2, 3)))
     # Root attributes (version="7") ride along as attribute nodes, exactly
     # as they do in a whole-document parse; the record itself comes last.
     tag, pos, _data, _children = records[-1]
@@ -177,39 +174,111 @@ def test_tag_positions_are_preserved_across_windows(tricky_path):
 
 
 # --------------------------------------------------------------------------- #
-# Fallbacks: namespaces, malformed documents
+# Namespaces, malformed documents, files changed after counting
 # --------------------------------------------------------------------------- #
 
 
-def test_namespaced_document_is_not_seekable(tmp_path):
+def test_namespaced_document_seeks(tmp_path):
     path = tmp_path / "ns.xml"
-    path.write_text(
+    document = (
         '<root xmlns:x="http://example.com/ns">'
-        "<x:item><x:v>1</x:v></x:item><x:item><x:v>2</x:v></x:item></root>",
-        encoding="utf-8",
+        "<x:item><x:v>1</x:v></x:item><x:item><x:v>2</x:v></x:item>"
+        '<item xmlns="urn:d"><v>3</v></item></root>'
     )
+    path.write_text(document, encoding="utf-8")
     index = build_xml_record_index(str(path))
-    assert not index.seekable
-    with pytest.raises(ValueError, match="not seekable"):
-        list(iter_indexed_xml_chunks(str(path), index, 1))
-    # The source transparently falls back to the incremental reparse.
+    # The index names records as ElementTree does: {uri}local.
+    assert index.tags == tuple(e.tag for e in ET.fromstring(document))
+    assert index.tags[0] == "{http://example.com/ns}item"
     source = XMLSource(str(path))
-    assert source.count_records() == 2
-    assert _records(source.iter_chunks(0, 2, 1)) == _records(
-        iter_xml_chunks(str(path), 1, record_range=(0, 2))
-    )
+    assert source.count_records() == 3
+    whole = _records(iter_xml_chunks(str(path), 1))
+    for start in range(4):
+        for stop in range(start, 4):
+            assert _records(source.iter_chunks(start, stop, 1)) == whole[start:stop]
+    # The second x:item keeps its whole-document position when read alone.
+    assert whole[1][:2] == ("{http://example.com/ns}item", 1)
 
 
 def test_malformed_xml_keeps_elementtree_error_surface(tmp_path):
     path = tmp_path / "bad.xml"
     path.write_text("<root><item>unclosed", encoding="utf-8")
-    with pytest.raises(Exception):
+    with pytest.raises(ET.ParseError) as error:
         build_xml_record_index(str(path))
-    # XMLSource falls back, so callers still see ElementTree's ParseError,
-    # not an expat error from the indexing attempt.
+    assert error.value.position == (1, 20)
+    # Counting goes through the index, so callers see ElementTree's
+    # ParseError, never an expat error.
     source = XMLSource(str(path))
     with pytest.raises(ET.ParseError):
         source.count_records()
+
+
+def _rewrite(path, text):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _xml_items(count):
+    return "<root>" + "".join(f"<item>{i}</item>" for i in range(count)) + "</root>"
+
+
+def test_xml_file_changed_after_counting_fails_closed(tmp_path):
+    """Count 6 records, grow the file to 8: every window fails closed instead
+    of returning 6 rows of a document that no longer exists."""
+    path = str(tmp_path / "doc.xml")
+    _rewrite(path, _xml_items(6))
+    source = XMLSource(path)
+    assert source.count_records() == 6
+    _rewrite(path, _xml_items(8))
+    for start, stop in ((0, 3), (3, 6)):
+        with pytest.raises(ShardError, match="changed after its records were counted"):
+            list(source.iter_chunks(start, stop, 2))
+    # Same size, records 4 and 5 merged into one: the window's record count
+    # catches what the size cannot.
+    _rewrite(path, _xml_items(6).replace("<item>4</item><item>5</item>", f"<item>4{'x' * 14}</item>"))
+    assert os.path.getsize(path) == source.record_index().size
+    with pytest.raises(ShardError, match="changed after its records were counted"):
+        list(source.iter_chunks(3, 6, 2))
+
+
+def test_json_file_changed_after_counting_fails_closed(tmp_path):
+    path = str(tmp_path / "doc.json")
+    _rewrite(path, json.dumps([{"v": i} for i in range(6)]))
+    source = JSONSource(path)
+    assert source.count_records() == 6
+    _rewrite(path, json.dumps([{"v": i} for i in range(8)]))
+    for start, stop in ((0, 3), (3, 6)):
+        with pytest.raises(ShardError, match="changed after its records were counted"):
+            list(source.iter_chunks(start, stop, 2))
+
+
+def test_touched_file_still_reads(tmp_path):
+    """A new mtime with the same bytes (a copy on a worker host, a touch)
+    is the same document: windows read as before."""
+    xml_path = str(tmp_path / "doc.xml")
+    json_path = str(tmp_path / "doc.json")
+    _rewrite(xml_path, _xml_items(6))
+    _rewrite(json_path, json.dumps([{"v": i} for i in range(6)]))
+    for source in (XMLSource(xml_path), JSONSource(json_path)):
+        assert source.count_records() == 6
+        before = [_records(source.iter_chunks(a, b, 2)) for a, b in ((0, 3), (3, 6))]
+        for path in (xml_path, json_path):
+            stat = os.stat(path)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert [_records(source.iter_chunks(a, b, 2)) for a, b in ((0, 3), (3, 6))] == before
+
+
+def test_sharded_run_over_changed_file_writes_nothing(tmp_path):
+    plan = MigrationPlan.learn(dblp.dataset(scale=3).migration_spec())
+    path = str(tmp_path / "dblp.xml")
+    _rewrite(path, hdt_to_xml(dblp.dataset(scale=3).generate(3)))
+    source = XMLSource(path)
+    source.count_records()
+    _rewrite(path, hdt_to_xml(dblp.dataset(scale=4).generate(4)))
+    backend = MemoryBackend()
+    with pytest.raises(ShardDegradedError, match="changed after its records were counted"):
+        shard_execute(plan, source, backend, shards=2, workers=1, chunk_size=4)
+    assert backend.database is None  # never begun: no partial target
 
 
 # --------------------------------------------------------------------------- #
@@ -226,12 +295,12 @@ def test_xml_index_cached_by_file_identity(tricky_path, monkeypatch):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr("repro.runtime.sharded.build_xml_record_index", counting)
+    monkeypatch.setattr("repro.runtime.streaming.build_xml_record_index", counting)
     assert XMLSource(tricky_path).count_records() == 3
     # A *fresh* source instance for the same unchanged file hits the cache.
     assert XMLSource(tricky_path).count_records() == 3
     assert len(calls) == 1
-    assert len(_XML_INDEX_CACHE) == 1
+    assert len(_SOURCE_CACHE) == 1
     clear_source_caches()
 
 
@@ -244,7 +313,7 @@ def test_xml_index_cache_invalidated_by_edit(tricky_path, monkeypatch):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr("repro.runtime.sharded.build_xml_record_index", counting)
+    monkeypatch.setattr("repro.runtime.streaming.build_xml_record_index", counting)
     assert XMLSource(tricky_path).count_records() == 3
     # Rewrite the file (content + size change): the stat key changes, so the
     # stale index is never served for the edited document.
@@ -264,20 +333,20 @@ def test_json_count_cached_for_files_not_inline_content(tmp_path, monkeypatch):
         calls.append(source)
         return real(source)
 
-    monkeypatch.setattr("repro.runtime.sharded.count_json_records", counting)
+    monkeypatch.setattr("repro.runtime.streaming.count_json_records", counting)
     path = str(tmp_path / "doc.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"item": [1, 2, 3, 4]}, handle)
     assert JSONSource(path).count_records() == 4
     assert JSONSource(path).count_records() == 4
     assert len(calls) == 1  # second fresh instance served from the cache
-    assert len(_JSON_COUNT_CACHE) == 1
+    assert len(_SOURCE_CACHE) == 1
     # Inline JSON content is not a file: counted per instance, never cached.
     inline = '{"item": [1, 2]}'
     assert JSONSource(inline).count_records() == 2
     assert JSONSource(inline).count_records() == 2
     assert len(calls) == 3
-    assert len(_JSON_COUNT_CACHE) == 1
+    assert len(_SOURCE_CACHE) == 1
     clear_source_caches()
 
 
@@ -292,7 +361,7 @@ def test_sharded_run_reuses_the_counting_pass(tricky_path, monkeypatch):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr("repro.runtime.sharded.build_xml_record_index", counting)
+    monkeypatch.setattr("repro.runtime.streaming.build_xml_record_index", counting)
     plan_source = dblp.dataset(scale=3)
     plan = MigrationPlan.learn(plan_source.migration_spec())
     document = plan_source.generate(3)
