@@ -1,15 +1,8 @@
-"""Deterministic finite automata used by the column-extractor learner."""
+"""Lazy product automata used by the column-extractor learner."""
 
-from .dfa import (
-    DFA,
-    LazyComponent,
-    enumerate_product_words,
-    intersect_all,
-)
+from .dfa import LazyComponent, enumerate_product_words
 
 __all__ = [
-    "DFA",
     "LazyComponent",
     "enumerate_product_words",
-    "intersect_all",
 ]

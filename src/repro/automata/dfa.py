@@ -1,244 +1,26 @@
-"""Deterministic finite automata over DSL-operator alphabets.
+"""Lazy product automata over DSL-operator alphabets.
 
 Section 5.1 of the paper learns column extractors by building, for each
 input-output example, a DFA whose states are sets of HDT nodes and whose
 alphabet symbols are the (instantiated) column-extraction operators
-``children_tag``, ``pchildren_tag,pos`` and ``descendants_tag``.  The language
-of the DFA is exactly the set of operator sequences (words) whose induced
-column extractor is consistent with the example; consistency across multiple
-examples is obtained by DFA intersection.
-
-This module provides a small generic DFA implementation:
-
-* :class:`DFA` — states, alphabet, transition map, initial state, accepting
-  states;
-* :meth:`DFA.intersect` — the standard product construction;
-* :meth:`DFA.enumerate_words` — shortest-first enumeration of accepted words
-  (bounded in length and count), which is how the synthesizer extracts column
-  extraction programs from the automaton;
-* :meth:`DFA.prune` — removal of states that cannot reach an accepting state,
-  keeping the product construction small.
-
-States are opaque hashable values; symbols are hashable tuples.
+``children_tag``, ``pchildren_tag,pos`` and ``descendants_tag``; consistency
+across examples is DFA intersection.  This module never materializes those
+automata or their product: each factor is a :class:`LazyComponent` answering
+``step`` and acceptance on demand, and :func:`enumerate_product_words`
+enumerates the product's words shortest-first, expanding only the states the
+search reaches.  (The eager construction is a test oracle in
+``tests/reference/``.)  States are opaque hashable values; symbols are
+hashable tuples.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 State = Hashable
 Symbol = Hashable
 Word = Tuple[Symbol, ...]
-
-
-@dataclass
-class DFA:
-    """A deterministic finite automaton.
-
-    The transition function is partial: missing entries are treated as going to
-    an implicit dead state.
-    """
-
-    states: Set[State]
-    alphabet: Set[Symbol]
-    transitions: Dict[Tuple[State, Symbol], State]
-    initial: State
-    accepting: Set[State]
-
-    # ------------------------------------------------------------ invariants
-    def validate(self) -> None:
-        """Check structural invariants; raise ``ValueError`` on violation."""
-        if self.initial not in self.states:
-            raise ValueError("initial state is not a state")
-        if not self.accepting.issubset(self.states):
-            raise ValueError("accepting states must be a subset of states")
-        for (src, sym), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition {src!r} --{sym!r}--> {dst!r} uses unknown state")
-            if sym not in self.alphabet:
-                raise ValueError(f"transition symbol {sym!r} not in alphabet")
-
-    # ---------------------------------------------------------------- basics
-    def step(self, state: State, symbol: Symbol) -> Optional[State]:
-        """Follow one transition; ``None`` means the implicit dead state."""
-        return self.transitions.get((state, symbol))
-
-    def accepts(self, word: Iterable[Symbol]) -> bool:
-        """Return True iff the DFA accepts the given word."""
-        state: Optional[State] = self.initial
-        for symbol in word:
-            if state is None:
-                return False
-            state = self.step(state, symbol)
-        return state is not None and state in self.accepting
-
-    def successors(self, state: State) -> Iterator[Tuple[Symbol, State]]:
-        """All outgoing transitions of a state."""
-        for (src, sym), dst in self.transitions.items():
-            if src == state:
-                yield sym, dst
-
-    def is_empty(self) -> bool:
-        """True iff the DFA accepts no word at all."""
-        return not self._reachable_accepting()
-
-    def num_transitions(self) -> int:
-        return len(self.transitions)
-
-    # ----------------------------------------------------------- reachability
-    def _forward_reachable(self) -> Set[State]:
-        seen: Set[State] = {self.initial}
-        frontier = deque([self.initial])
-        out_edges = self._out_edges()
-        while frontier:
-            state = frontier.popleft()
-            for _, dst in out_edges.get(state, ()):  # type: ignore[arg-type]
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        return seen
-
-    def _backward_reachable(self, targets: Set[State]) -> Set[State]:
-        in_edges: Dict[State, List[State]] = {}
-        for (src, _), dst in self.transitions.items():
-            in_edges.setdefault(dst, []).append(src)
-        seen: Set[State] = set(targets)
-        frontier = deque(targets)
-        while frontier:
-            state = frontier.popleft()
-            for src in in_edges.get(state, []):
-                if src not in seen:
-                    seen.add(src)
-                    frontier.append(src)
-        return seen
-
-    def _reachable_accepting(self) -> Set[State]:
-        forward = self._forward_reachable()
-        return forward & self.accepting
-
-    def _out_edges(self) -> Dict[State, List[Tuple[Symbol, State]]]:
-        out: Dict[State, List[Tuple[Symbol, State]]] = {}
-        for (src, sym), dst in self.transitions.items():
-            out.setdefault(src, []).append((sym, dst))
-        return out
-
-    # -------------------------------------------------------------- pruning
-    def prune(self) -> "DFA":
-        """Remove states that are unreachable or cannot reach an accepting state."""
-        forward = self._forward_reachable()
-        live_accepting = forward & self.accepting
-        if not live_accepting:
-            return DFA(
-                states={self.initial},
-                alphabet=set(self.alphabet),
-                transitions={},
-                initial=self.initial,
-                accepting=set(),
-            )
-        useful = self._backward_reachable(live_accepting) & forward
-        useful.add(self.initial)
-        transitions = {
-            (src, sym): dst
-            for (src, sym), dst in self.transitions.items()
-            if src in useful and dst in useful
-        }
-        return DFA(
-            states=useful,
-            alphabet=set(self.alphabet),
-            transitions=transitions,
-            initial=self.initial,
-            accepting=live_accepting,
-        )
-
-    # --------------------------------------------------------- intersection
-    def intersect(self, other: "DFA") -> "DFA":
-        """Product construction: accepts exactly the words accepted by both DFAs.
-
-        Only the reachable part of the product is built, and the result is
-        pruned so that dead branches do not slow down later intersections.
-        """
-        alphabet = self.alphabet & other.alphabet
-        initial = (self.initial, other.initial)
-        states: Set[State] = {initial}
-        transitions: Dict[Tuple[State, Symbol], State] = {}
-        accepting: Set[State] = set()
-        frontier = deque([initial])
-        self_out = self._out_edges()
-        while frontier:
-            pair = frontier.popleft()
-            left, right = pair
-            if left in self.accepting and right in other.accepting:
-                accepting.add(pair)
-            for sym, left_dst in self_out.get(left, []):
-                if sym not in alphabet:
-                    continue
-                right_dst = other.step(right, sym)
-                if right_dst is None:
-                    continue
-                dst = (left_dst, right_dst)
-                transitions[(pair, sym)] = dst
-                if dst not in states:
-                    states.add(dst)
-                    frontier.append(dst)
-        product = DFA(
-            states=states,
-            alphabet=alphabet,
-            transitions=transitions,
-            initial=initial,
-            accepting=accepting,
-        )
-        return product.prune()
-
-    # ---------------------------------------------------------- enumeration
-    def enumerate_words(self, max_length: int = 8, max_words: int = 200) -> List[Word]:
-        """Enumerate accepted words, shortest first (breadth-first search).
-
-        The search explores paths (not just states) so that distinct words
-        leading to the same state are both reported; it is bounded by
-        ``max_length`` and ``max_words`` to keep enumeration tractable, which
-        corresponds to the bounded program-length exploration the paper relies
-        on in practice.
-        """
-        results: List[Word] = []
-        frontier: deque = deque([(self.initial, ())])
-        out_edges = self._out_edges()
-        while frontier and len(results) < max_words:
-            state, word = frontier.popleft()
-            if state in self.accepting:
-                results.append(word)
-                if len(results) >= max_words:
-                    break
-            if len(word) >= max_length:
-                continue
-            for sym, dst in sorted(
-                out_edges.get(state, []), key=lambda item: repr(item[0])
-            ):
-                frontier.append((dst, word + (sym,)))
-        return results
-
-    def shortest_word(self, max_length: int = 12) -> Optional[Word]:
-        """The shortest accepted word, or ``None``."""
-        words = self.enumerate_words(max_length=max_length, max_words=1)
-        return words[0] if words else None
-
-
-def intersect_all(automata: List[DFA]) -> DFA:
-    """Intersect a non-empty list of DFAs left to right."""
-    if not automata:
-        raise ValueError("cannot intersect an empty list of automata")
-    result = automata[0].prune()
-    for dfa in automata[1:]:
-        result = result.intersect(dfa)
-        if result.is_empty():
-            break
-    return result
-
-
-# --------------------------------------------------------------------------- #
-# Lazy product enumeration
-# --------------------------------------------------------------------------- #
 
 
 class LazyComponent:
@@ -268,17 +50,17 @@ def enumerate_product_words(
 ) -> List[Word]:
     """Shortest-first word enumeration over a product automaton built on demand.
 
-    Equivalent to ``intersect_all([...]).enumerate_words(...)`` but without
-    ever materializing the per-factor automata or their product: product
+    Equivalent to intersecting the per-factor automata and enumerating the
+    product's words, but without ever materializing either: product
     states are expanded only when the breadth-first path enumeration reaches
     them, and each (state, symbol) expansion is delegated to the components'
     ``step`` functions (memoized per product state).
 
-    To reproduce the eager path byte-for-byte, ``alphabet`` must be iterated
-    in the same order the eager enumeration sorts out-edges — pass it sorted
-    by ``repr``; this function preserves the given order.  Paths (not states)
-    are explored, so distinct words reaching the same product state are all
-    reported, exactly like :meth:`DFA.enumerate_words`.
+    To reproduce the eager oracle (``tests/reference/``) word for word,
+    ``alphabet`` must be iterated in the order that oracle sorts out-edges —
+    pass it sorted by ``repr``; this function preserves the given order.
+    Paths (not states) are explored, so distinct words reaching the same
+    product state are all reported.
 
     An empty result means no accepting product state exists within the
     ``max_length`` exploration horizon — the search cannot tell a genuinely
@@ -345,7 +127,7 @@ def enumerate_product_words(
         return []
 
     # Phase 2 — backward prune: drop states that cannot reach an accepting
-    # state, like DFA.prune() does before the eager enumeration.  Dead states
+    # state, like the eager oracle prunes before it enumerates.  Dead states
     # never produce a word, and removing them does not reorder the accepted
     # paths of the FIFO search, so the word list is unchanged — only the
     # exponential wandering through dead regions is.
@@ -363,7 +145,7 @@ def enumerate_product_words(
                 prune_frontier.append(src)
 
     # Phase 3 — shortest-first path enumeration over the pruned graph,
-    # identical to DFA.enumerate_words (alphabet order == repr-sorted order).
+    # identical to the eager oracle's (alphabet order == repr-sorted order).
     results: List[Word] = []
     frontier: deque = deque([(initial, ())] if initial in useful else [])
     while frontier and len(results) < max_words:

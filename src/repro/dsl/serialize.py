@@ -242,7 +242,7 @@ def _constant_from_json(payload: Json) -> Scalar:
         if kind == "int":
             return int(payload["value"])
         raise SerializationError(f"unknown constant type {kind!r}")
-    return payload
+    return _check_scalar(payload, "a serialized constant")
 
 
 def scalar_to_json(value: Scalar) -> Json:

@@ -378,7 +378,7 @@ class MigrationEngine:
         if not tables:
             return {}
         workers = jobs if jobs else os.cpu_count() or 1
-        if len(tables) == 1 and self.config.vectorized:
+        if len(tables) == 1:
             # A table-level pool is useless for a single table; fan out over
             # its candidate table extractors instead.  The candidate stage is
             # deterministic, so the program is identical to a serial run.
@@ -399,7 +399,7 @@ class MigrationEngine:
         tree_bytes = pickle.dumps(spec.example_tree)
         context_payload = None
         context = self.synthesizer.context
-        if self.config.vectorized and context.trees():
+        if context.trees():
             from ..synthesis.serialize import serialize_context
 
             context_payload = serialize_context(context)

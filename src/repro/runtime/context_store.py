@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.serialize import (
+    SerializationError,
     scalar_from_json,
     scalar_to_json,
     schema_from_json,
@@ -121,7 +122,8 @@ class ContextStore:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             return deserialize_context(payload, trees)
-        except Exception:
+        except (OSError, ValueError, SerializationError):
+            # Unreadable, not JSON, or not a current-format context: a miss.
             try:
                 os.remove(path)
             except OSError:

@@ -3,11 +3,8 @@
 from .baseline import BaselineSynthesizer, enumerate_column_extractors
 from .column_learner import (
     ColumnLearningError,
-    construct_dfa,
     extractor_to_word,
     learn_column_extractors,
-    learn_column_extractors_eager,
-    learn_column_extractors_lazy,
     word_to_extractor,
 )
 from .config import DEFAULT_CONFIG, SynthesisConfig
@@ -15,7 +12,6 @@ from .context import SynthesisContext
 from .predicate_learner import (
     PredicateLearningStats,
     check_program,
-    classify_tuples,
     classify_tuples_fast,
     learn_predicate,
     row_in_table,
@@ -23,7 +19,7 @@ from .predicate_learner import (
 )
 from .predicate_matrix import build_predicate_masks, distinguishing_pairs_mask
 from .predicate_universe import construct_predicate_universe, valid_node_extractors
-from .qm import minimize, minimize_bits, prime_implicants, prime_implicants_bits
+from .qm import minimize_bits, prime_implicants_bits
 from .serialize import (
     config_fingerprint,
     config_from_json,
@@ -35,13 +31,9 @@ from .serialize import (
 )
 from .set_cover import (
     CoverError,
-    branch_and_bound_cover,
     branch_and_bound_cover_bits,
-    greedy_cover,
     greedy_cover_bits,
-    ilp_cover,
     ilp_cover_bits,
-    minimum_cover,
     minimum_cover_bits,
 )
 from .synthesizer import (
@@ -57,18 +49,14 @@ __all__ = [
     "BaselineSynthesizer",
     "enumerate_column_extractors",
     "ColumnLearningError",
-    "construct_dfa",
     "extractor_to_word",
     "learn_column_extractors",
-    "learn_column_extractors_eager",
-    "learn_column_extractors_lazy",
     "word_to_extractor",
     "DEFAULT_CONFIG",
     "SynthesisConfig",
     "SynthesisContext",
     "PredicateLearningStats",
     "check_program",
-    "classify_tuples",
     "classify_tuples_fast",
     "learn_predicate",
     "row_in_table",
@@ -84,18 +72,12 @@ __all__ = [
     "context_loads",
     "deserialize_context",
     "serialize_context",
-    "minimize",
     "minimize_bits",
-    "prime_implicants",
     "prime_implicants_bits",
     "CoverError",
-    "branch_and_bound_cover",
     "branch_and_bound_cover_bits",
-    "greedy_cover",
     "greedy_cover_bits",
-    "ilp_cover",
     "ilp_cover_bits",
-    "minimum_cover",
     "minimum_cover_bits",
     "ExamplePair",
     "SynthesisError",

@@ -28,7 +28,7 @@ from ..dsl.ast import ColumnExtractor, Children, Descendants, PChildren, Predica
 from ..dsl.semantics import compare_values, eval_column_on_tree, eval_predicate, Op
 from ..hdt.tree import HDT
 from .config import DEFAULT_CONFIG, SynthesisConfig
-from .predicate_learner import check_program, classify_tuples
+from .predicate_learner import check_program, classify_tuples_fast
 from .predicate_universe import construct_predicate_universe
 from .synthesizer import ExamplePair, SynthesisResult, SynthesisTask
 
@@ -167,7 +167,7 @@ class BaselineSynthesizer:
     ) -> Optional[Predicate]:
         """Enumerate conjunctions of atomic predicates by increasing size."""
         try:
-            positives, negatives = classify_tuples(
+            positives, negatives = classify_tuples_fast(
                 examples, table_extractor, max_rows=self.config.max_intermediate_rows
             )
         except MemoryError:

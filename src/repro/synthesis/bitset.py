@@ -1,4 +1,4 @@
-"""Bitset primitives for the vectorized synthesis engine.
+"""Bitset primitives for the synthesis engine.
 
 The predicate learner represents truth vectors over the example tuple space as
 arbitrary-precision python integers: bit *i* of a predicate's mask says whether
@@ -71,11 +71,6 @@ def iter_bits(mask: int) -> Iterator[int]:
             for offset in _BYTE_BITS[byte]:
                 yield base + offset
         base += 8
-
-
-def bits_to_set(mask: int) -> set:
-    """The set of positions of set bits."""
-    return set(iter_bits(mask))
 
 
 def full_mask(width: int) -> int:

@@ -1,47 +1,37 @@
 """Learning column extraction programs with deterministic finite automata.
 
-This module implements Algorithm 2 and the DFA construction rules of Figure 9
-in two interchangeable ways:
+This module implements Algorithm 2 and the DFA construction rules of Figure 9.
+For one (tree, column) example, the automaton's states are *sets of HDT nodes*
+reachable from ``{root}`` by applying DSL operators, its alphabet symbols are
+the instantiated operators ``children_tag`` / ``pchildren_tag,pos`` /
+``descendants_tag``, and its accepting states are exactly the node sets that
+cover the target column (rule (5): ``s ⊇ column(R, i)``).
 
-* the *eager* seed algorithm — :func:`construct_dfa` builds, for a single
-  (tree, column) example, a DFA whose states are *sets of HDT nodes* reachable
-  from ``{root}`` by applying DSL operators, whose alphabet symbols are the
-  instantiated operators ``children_tag`` / ``pchildren_tag,pos`` /
-  ``descendants_tag``, and whose accepting states are exactly the node sets
-  that cover the target column (rule (5): ``s ⊇ column(R, i)``);
-  :func:`learn_column_extractors_eager` intersects the per-example DFAs and
-  enumerates accepted words shortest-first;
-* the *lazy* vectorized engine — :class:`_LazyExampleDFA` exposes each example
-  as an on-demand automaton (states are interned node-set ids, transitions are
-  computed from the tree's :class:`~repro.hdt.tree.TagIndex` only when the
-  product enumeration asks for them), and
-  :func:`repro.automata.dfa.enumerate_product_words` walks the intersection
-  without ever materializing it.  The lazy engine reports the identical word
-  list (same words, same order) as the eager one whenever the
-  ``config.max_dfa_states`` safety cap does not bind — under the cap the two
-  engines admit states in different orders (eager: per-example BFS with a
-  per-call budget; lazy: product-demand order with a per-tree budget shared
-  across columns), so cap-bound searches are best-effort in both and may
-  differ.  The evaluation benchmarks stay far below the default cap.
+No automaton is ever materialized: :class:`_LazyExampleDFA` exposes each
+example as an on-demand automaton (interned node-set states, transitions from
+the tree's :class:`~repro.hdt.tree.TagIndex`), and
+:func:`repro.automata.dfa.enumerate_product_words` walks the intersection
+shortest-first.  The eager construction, a test oracle in ``tests/reference/``,
+reports the identical word list whenever the ``config.max_dfa_states`` cap does
+not bind; under the cap the two admit states in different orders, so
+cap-bound searches are best-effort in both and may differ.  The evaluation
+benchmarks stay far below the default cap.
 
-:func:`learn_column_extractors` dispatches on ``config.vectorized``.
 A word ``(f1, f2, ..., fm)`` corresponds to the extractor
 ``fm(... f2(f1(s)) ...)`` applied to ``{root(τ)}``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..automata.dfa import DFA, enumerate_product_words, intersect_all
+from ..automata.dfa import enumerate_product_words
 from ..dsl.ast import Children, ColumnExtractor, Descendants, PChildren, Var
-from ..dsl.semantics import compare_values, _dedupe
+from ..dsl.semantics import _dedupe
 from ..hdt.node import Node, Scalar
 from ..hdt.tree import HDT
 from .config import DEFAULT_CONFIG, SynthesisConfig
 from .context import SynthesisContext
-from ..dsl.ast import Op
 
 # Alphabet symbols.  Using plain tuples keeps them hashable and comparable.
 CHILDREN = "children"
@@ -66,91 +56,6 @@ def _alphabet_for_tree(tree: HDT) -> List[Symbol]:
         for pos in tree.positions_for_tag(tag):
             symbols.append((PCHILDREN, tag, pos))
     return symbols
-
-
-def _apply_symbol(symbol: Symbol, nodes: Sequence[Node]) -> List[Node]:
-    """Apply one instantiated operator to an ordered set of nodes."""
-    kind = symbol[0]
-    if kind == CHILDREN:
-        tag = symbol[1]
-        return _dedupe(c for n in nodes for c in n.children_with_tag(tag))
-    if kind == PCHILDREN:
-        tag, pos = symbol[1], symbol[2]
-        out: List[Node] = []
-        for n in nodes:
-            child = n.child_with(tag, pos)
-            if child is not None:
-                out.append(child)
-        return _dedupe(out)
-    if kind == DESCENDANTS:
-        tag = symbol[1]
-        return _dedupe(d for n in nodes for d in n.descendants_with_tag(tag))
-    raise ValueError(f"unknown symbol kind: {kind!r}")
-
-
-def _covers_column(nodes: Sequence[Node], column_values: Sequence[Scalar]) -> bool:
-    """Rule (5): does the node set cover every value of the output column?"""
-    for value in column_values:
-        if not any(compare_values(node.data, Op.EQ, value) for node in nodes):
-            return False
-    return True
-
-
-def construct_dfa(
-    tree: HDT,
-    column_values: Sequence[Scalar],
-    config: SynthesisConfig = DEFAULT_CONFIG,
-) -> DFA:
-    """Build the DFA of Figure 9 for one (tree, column) example.
-
-    States are frozensets of node uids; the uid → node mapping is recovered
-    through the tree.  Exploration is breadth-first from ``{root}`` and bounded
-    by ``config.max_dfa_states`` and ``config.max_column_program_length``.
-    Transitions whose result set is empty are pruned (an empty set can never
-    cover a non-empty column, and keeping them would blow up the automaton).
-    """
-    alphabet = _alphabet_for_tree(tree)
-    uid_to_node = {n.uid: n for n in tree.nodes()}
-
-    initial: FrozenSet[int] = frozenset({tree.root.uid})
-    states: Set[FrozenSet[int]] = {initial}
-    transitions: Dict[Tuple[FrozenSet[int], Symbol], FrozenSet[int]] = {}
-    accepting: Set[FrozenSet[int]] = set()
-
-    def nodes_of(state: FrozenSet[int]) -> List[Node]:
-        return sorted((uid_to_node[uid] for uid in state), key=lambda n: n.uid)
-
-    if _covers_column(nodes_of(initial), column_values):
-        accepting.add(initial)
-
-    frontier: deque = deque([(initial, 0)])
-    while frontier:
-        state, depth = frontier.popleft()
-        if depth >= config.max_column_program_length:
-            continue
-        current_nodes = nodes_of(state)
-        for symbol in alphabet:
-            result = _apply_symbol(symbol, current_nodes)
-            if not result:
-                continue
-            new_state = frozenset(n.uid for n in result)
-            if new_state not in states:
-                if len(states) >= config.max_dfa_states:
-                    continue
-                states.add(new_state)
-                if _covers_column(result, column_values):
-                    accepting.add(new_state)
-                frontier.append((new_state, depth + 1))
-            transitions[(state, symbol)] = new_state
-
-    dfa = DFA(
-        states=states,
-        alphabet=set(alphabet),
-        transitions=transitions,
-        initial=initial,
-        accepting=accepting,
-    )
-    return dfa.prune()
 
 
 def word_to_extractor(word: Sequence[Symbol]) -> ColumnExtractor:
@@ -187,37 +92,6 @@ def extractor_to_word(extractor: ColumnExtractor) -> Tuple[Symbol, ...]:
     return tuple(symbols)
 
 
-def learn_column_extractors_eager(
-    examples: Sequence[Tuple[HDT, Sequence[Scalar]]],
-    config: SynthesisConfig = DEFAULT_CONFIG,
-) -> List[ColumnExtractor]:
-    """The seed algorithm: eager per-example DFAs + product intersection.
-
-    Kept as the reference implementation — the equivalence property tests
-    run it against the lazy engine.
-    """
-    if not examples:
-        raise ValueError("at least one example is required")
-
-    automata = [construct_dfa(tree, column, config) for tree, column in examples]
-    combined = intersect_all(automata)
-    if combined.is_empty():
-        raise ColumnLearningError(
-            "no column extraction program is consistent with all examples"
-        )
-    words = combined.enumerate_words(
-        max_length=config.max_column_program_length,
-        max_words=config.max_column_programs,
-    )
-    if not words:
-        raise ColumnLearningError(
-            "no column extraction program found within the length bound"
-        )
-    extractors = [word_to_extractor(word) for word in words]
-    extractors.sort(key=lambda e: (e.size(), repr(e)))
-    return extractors
-
-
 class TreeAutomaton:
     """The interned node-set transition graph of one tree, built on demand.
 
@@ -230,12 +104,9 @@ class TreeAutomaton:
     States are integer ids of interned node-uid frozensets; the initial state
     is ``{root}``.  ``children``/``descendants`` steps answer from the tree's
     :class:`~repro.hdt.tree.TagIndex` instead of re-walking the document.
-    Transitions with an empty result are dead (mirroring the eager
-    construction, which prunes them), and interning stops at ``max_states``,
-    the same safety cap the eager builder applies per example — though here
-    the budget covers the whole tree (shared across columns) and fills in
-    demand order, so once the cap binds, results may diverge from the eager
-    engine's equally-truncated search (see the module docstring).
+    Transitions with an empty result are dead, and interning stops at
+    ``max_states``, a budget shared by every column over the tree (see the
+    module docstring for what that means once the cap binds).
     """
 
     def __init__(self, tree: HDT, max_states: int, alphabet: Sequence[Tuple]) -> None:
@@ -361,12 +232,38 @@ class _LazyExampleDFA:
         return hit
 
 
-def learn_column_extractors_lazy(
+def learn_column_extractors(
     examples: Sequence[Tuple[HDT, Sequence[Scalar]]],
     config: SynthesisConfig = DEFAULT_CONFIG,
     context: Optional[SynthesisContext] = None,
 ) -> List[ColumnExtractor]:
-    """The vectorized engine: lazy product-DFA enumeration over the examples."""
+    """Algorithm 2: learn the set of column extractors consistent with all examples.
+
+    The examples' automata are intersected lazily: product states are expanded
+    only when the shortest-first word enumeration reaches them.
+
+    Parameters
+    ----------
+    examples:
+        A list of ``(tree, column_values)`` pairs — one entry per input-output
+        example, where ``column_values`` is the i-th column of the output table.
+    config:
+        Search bounds.
+    context:
+        Optional :class:`SynthesisContext` with shared per-tree caches; a
+        fresh one is used when omitted.
+
+    Returns
+    -------
+    A list of column extractor ASTs, ordered from simplest (shortest) to most
+    complex, at most ``config.max_column_programs`` long.
+
+    Raises
+    ------
+    ColumnLearningError
+        If no column extractor consistent with every example exists within the
+        configured bounds.
+    """
     if not examples:
         raise ValueError("at least one example is required")
     if context is None:
@@ -391,7 +288,7 @@ def learn_column_extractors_lazy(
     if not words:
         # The lazy search cannot tell a genuinely empty intersection from one
         # whose shortest witness exceeds the length bound, so one message
-        # covers both (the eager path distinguishes them).
+        # covers both.
         raise ColumnLearningError(
             "no column extraction program is consistent with all examples "
             "within the configured bounds"
@@ -399,38 +296,3 @@ def learn_column_extractors_lazy(
     extractors = [word_to_extractor(word) for word in words]
     extractors.sort(key=lambda e: (e.size(), repr(e)))
     return extractors
-
-
-def learn_column_extractors(
-    examples: Sequence[Tuple[HDT, Sequence[Scalar]]],
-    config: SynthesisConfig = DEFAULT_CONFIG,
-    context: Optional[SynthesisContext] = None,
-) -> List[ColumnExtractor]:
-    """Algorithm 2: learn the set of column extractors consistent with all examples.
-
-    Parameters
-    ----------
-    examples:
-        A list of ``(tree, column_values)`` pairs — one entry per input-output
-        example, where ``column_values`` is the i-th column of the output table.
-    config:
-        Search bounds; ``config.vectorized`` selects the lazy product engine
-        (default) or the eager seed algorithm.
-    context:
-        Optional :class:`SynthesisContext` with shared per-tree caches
-        (vectorized engine only).
-
-    Returns
-    -------
-    A list of column extractor ASTs, ordered from simplest (shortest) to most
-    complex, at most ``config.max_column_programs`` long.
-
-    Raises
-    ------
-    ColumnLearningError
-        If no column extractor consistent with every example exists within the
-        configured bounds.
-    """
-    if config.vectorized:
-        return learn_column_extractors_lazy(examples, config, context)
-    return learn_column_extractors_eager(examples, config)

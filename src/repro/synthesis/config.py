@@ -5,6 +5,9 @@ extractors of arbitrary length, node extractors of arbitrary depth).  In
 practice Mitra bounds that exploration; this dataclass collects every bound in
 one place so that the evaluation harness and the ablation benchmarks can vary
 them explicitly.
+
+Every field is a search bound or a solver choice; the engine itself has no
+switches (the seed algorithms are test oracles in ``tests/reference/``).
 """
 
 from __future__ import annotations
@@ -74,22 +77,6 @@ class SynthesisConfig:
     timeout_seconds: float = 60.0
     """Soft wall-clock budget for a single synthesis task."""
 
-    # --- engine ---------------------------------------------------------------
-    vectorized: bool = True
-    """Use the bitset-vectorized engine (lazy product DFA, predicate
-    bitmatrices, shared caches).  ``False`` runs the seed algorithms —
-    eager per-example DFAs and tuple-by-tuple predicate evaluation — which
-    the equivalence tests and benchmarks compare against."""
-
-    candidate_caching: bool = True
-    """Reuse predicate universes, χi sets and per-predicate satisfying-node
-    sets across candidate table extractors (keyed by column *node-list
-    signatures*, so syntactically different extractors that land on the same
-    nodes share everything).  ``False`` forces the cold path — every candidate
-    rebuilds from scratch — which the parity tests compare against: caching
-    must never change a learned program, only how fast it is learned."""
-
-
     # ------------------------------------------------------------- presets
     @staticmethod
     def for_migration() -> "SynthesisConfig":
@@ -121,12 +108,6 @@ class SynthesisConfig:
             max_node_extractors_per_column=24,
             timeout_seconds=20.0,
         )
-
-    def seed_variant(self) -> "SynthesisConfig":
-        """The same bounds with the seed (non-vectorized) algorithms selected."""
-        from dataclasses import replace
-
-        return replace(self, vectorized=False)
 
 
 DEFAULT_CONFIG = SynthesisConfig()

@@ -1,4 +1,4 @@
-"""Shared caches for the vectorized synthesis engine.
+"""Shared caches for the synthesis engine.
 
 One :class:`SynthesisContext` accompanies a :class:`~repro.synthesis.synthesizer.Synthesizer`
 for its whole lifetime and is shared across the output columns of a task and
@@ -62,8 +62,9 @@ class _TreeFacts:
     def alphabet(self) -> List[Tuple]:
         """Operator symbols instantiated for the tree, sorted by ``repr``.
 
-        The sort order matches how the eager enumeration orders out-edges, so
-        the lazy product enumeration reports words in the identical order.
+        The sort order matches how the eager oracle (``tests/reference/``)
+        orders out-edges, so the lazy product enumeration reports words in
+        the identical order.
         """
         if self._alphabet is None:
             from .column_learner import _alphabet_for_tree
@@ -78,8 +79,8 @@ class _TreeFacts:
         cross-type equality included) except for NaN, which equals nothing —
         NaN keys are therefore never stored and NaN lookups return the empty
         set.  ``None`` is a legitimate value class: a ``None`` column value
-        matches every data-less (internal) node, exactly like the eager
-        cover check.
+        matches every data-less (internal) node, exactly like a
+        ``compare_values`` scan.
         """
         if self._value_uids is None:
             table: Dict[Scalar, set] = {}

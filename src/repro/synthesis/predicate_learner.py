@@ -18,12 +18,17 @@ table extractor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import time
+from dataclasses import dataclass
+from itertools import product
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.ast import (
-    And,
+    CompareConst,
+    CompareNodes,
+    False_,
     Not,
+    Op,
     Predicate,
     Program,
     TableExtractor,
@@ -31,20 +36,17 @@ from ..dsl.ast import (
     conjoin,
     disjoin,
 )
-from ..dsl.semantics import (
-    NodeTuple,
-    compare_values,
-    eval_node_extractor,
-    eval_predicate,
-    eval_table,
-)
-from ..dsl.ast import Op
+from ..dsl.pretty import pretty_predicate
+from ..dsl.semantics import NodeTuple, compare_values, run_program
 from ..hdt.node import Scalar
 from ..hdt.tree import HDT
+from .bitset import full_mask, iter_bits, popcount
 from .config import DEFAULT_CONFIG, SynthesisConfig
+from .context import SynthesisContext, _is_nan
+from .predicate_matrix import build_predicate_masks, distinguishing_pairs_mask, dnf_mask
 from .predicate_universe import construct_predicate_universe
-from .qm import implicant_to_clause, minimize
-from .set_cover import CoverError, minimum_cover
+from .qm import implicant_to_clause, minimize_bits
+from .set_cover import CoverError, minimum_cover_bits
 
 Row = Tuple[Scalar, ...]
 Example = Tuple[HDT, Sequence[Row]]
@@ -80,271 +82,16 @@ def row_in_table(row: Row, table: Sequence[Row]) -> bool:
     return any(rows_equal(row, other) for other in table)
 
 
-def classify_tuples(
-    examples: Sequence[Example],
-    table_extractor: TableExtractor,
-    *,
-    max_rows: Optional[int] = None,
-) -> Tuple[List[NodeTuple], List[NodeTuple]]:
-    """Split intermediate-table tuples into positive and negative examples.
-
-    Positive tuples are those whose data projection appears in the output
-    table of their example; every other tuple is negative (spurious).
-    """
-    positives: List[NodeTuple] = []
-    negatives: List[NodeTuple] = []
-    for tree, output_rows in examples:
-        intermediate = eval_table(table_extractor, tree)
-        if max_rows is not None and len(intermediate) > max_rows:
-            raise MemoryError(
-                f"intermediate table too large ({len(intermediate)} rows > {max_rows})"
-            )
-        for node_tuple in intermediate:
-            data_row = tuple(node.data for node in node_tuple)
-            if row_in_table(data_row, output_rows):
-                positives.append(node_tuple)
-            else:
-                negatives.append(node_tuple)
-    return positives, negatives
-
-
-def _feature_matrix(
-    universe: Sequence[Predicate],
-    positives: Sequence[NodeTuple],
-    negatives: Sequence[NodeTuple],
-) -> Tuple[List[Tuple[bool, ...]], List[Tuple[bool, ...]]]:
-    """Evaluate every candidate predicate on every example tuple.
-
-    Evaluating the universe naively re-runs every node extractor for every
-    tuple; since the tuples of one intermediate table draw their column-i
-    entries from a small set of nodes, the extractor applications are heavily
-    shared.  We therefore memoize ``(extractor, node) -> target node`` lookups,
-    which brings the cost down from
-    ``O(|Φ| * |tuples| * extractor_depth)`` tree walks to one walk per distinct
-    (extractor, node) pair — the difference between minutes and milliseconds on
-    the wider Table 2 tables.
-    """
-    from ..dsl.ast import CompareConst, CompareNodes
-
-    tuples = list(positives) + list(negatives)
-    extractor_cache: Dict[Tuple[int, int], object] = {}
-
-    def target_of(extractor, node):
-        key = (id(extractor), node.uid)
-        if key not in extractor_cache:
-            extractor_cache[key] = eval_node_extractor(extractor, node)
-        return extractor_cache[key]
-
-    def evaluate(predicate: Predicate, row: NodeTuple) -> bool:
-        if isinstance(predicate, CompareConst):
-            if predicate.column >= len(row):
-                return False
-            target = target_of(predicate.extractor, row[predicate.column])
-            if target is None:
-                return False
-            return compare_values(target.data, predicate.op, predicate.constant)
-        if isinstance(predicate, CompareNodes):
-            if predicate.left_column >= len(row) or predicate.right_column >= len(row):
-                return False
-            left = target_of(predicate.left_extractor, row[predicate.left_column])
-            right = target_of(predicate.right_extractor, row[predicate.right_column])
-            if left is None or right is None:
-                return False
-            if left.is_leaf() and right.is_leaf():
-                return compare_values(left.data, predicate.op, right.data)
-            if predicate.op is Op.EQ and not left.is_leaf() and not right.is_leaf():
-                return left is right
-            return False
-        return eval_predicate(predicate, row)
-
-    matrix = [tuple(evaluate(p, t) for p in universe) for t in tuples]
-    return matrix[: len(positives)], matrix[len(positives) :]
-
-
-def _deduplicate_features(
-    universe: Sequence[Predicate],
-    pos_rows: Sequence[Tuple[bool, ...]],
-    neg_rows: Sequence[Tuple[bool, ...]],
-) -> List[int]:
-    """Keep, per distinct truth-vector, only the simplest predicate.
-
-    Predicates whose truth vector is constant over all example tuples can never
-    distinguish a positive from a negative example and are dropped outright.
-    """
-    by_vector: Dict[Tuple[bool, ...], int] = {}
-    order: List[int] = []
-    num_pos = len(pos_rows)
-    for idx, predicate in enumerate(universe):
-        vector = tuple(row[idx] for row in pos_rows) + tuple(row[idx] for row in neg_rows)
-        if len(set(vector)) <= 1:
-            continue
-        previous = by_vector.get(vector)
-        if previous is None:
-            by_vector[vector] = idx
-            order.append(idx)
-        else:
-            if _predicate_sort_key(predicate) < _predicate_sort_key(universe[previous]):
-                by_vector[vector] = idx
-                order[order.index(previous)] = idx
-    return order
-
-
 def _predicate_sort_key(predicate: Predicate) -> Tuple:
-    from ..dsl.pretty import pretty_predicate
-
     return (_predicate_complexity(predicate), pretty_predicate(predicate))
 
 
 def _predicate_complexity(predicate: Predicate) -> int:
-    from ..dsl.ast import CompareConst, CompareNodes
-
     if isinstance(predicate, CompareNodes):
         return predicate.left_extractor.size() + predicate.right_extractor.size()
     if isinstance(predicate, CompareConst):
         return predicate.extractor.size()
     return predicate.size()
-
-
-def learn_predicate(
-    examples: Sequence[Example],
-    table_extractor: TableExtractor,
-    config: SynthesisConfig = DEFAULT_CONFIG,
-    *,
-    stats: Optional[PredicateLearningStats] = None,
-    context=None,
-) -> Optional[Predicate]:
-    """Algorithm 3: learn a filtering predicate for a candidate table extractor.
-
-    Returns ``None`` when the positive and negative tuples cannot be separated
-    by any boolean combination of predicates in the universe.
-    ``config.vectorized`` selects the bitmatrix engine (default) or the seed
-    tuple-by-tuple evaluation; both return the same predicate.
-    """
-    if config.vectorized:
-        return _learn_predicate_vectorized(
-            examples, table_extractor, config, stats=stats, context=context
-        )
-    return _learn_predicate_seed(examples, table_extractor, config, stats=stats)
-
-
-def _learn_predicate_seed(
-    examples: Sequence[Example],
-    table_extractor: TableExtractor,
-    config: SynthesisConfig = DEFAULT_CONFIG,
-    *,
-    stats: Optional[PredicateLearningStats] = None,
-) -> Optional[Predicate]:
-    """The seed algorithm: per-tuple feature matrix, list-based solvers."""
-    trees = [tree for tree, _ in examples]
-
-    positives, negatives = classify_tuples(
-        examples, table_extractor, max_rows=config.max_intermediate_rows
-    )
-    if stats is not None:
-        stats.positive_examples = len(positives)
-        stats.negative_examples = len(negatives)
-
-    if not positives:
-        # The output tables are all empty only if the user supplied empty
-        # examples; nothing needs to be kept.
-        from ..dsl.ast import False_
-
-        return False_() if negatives else True_()
-    if not negatives:
-        return True_()
-
-    universe = construct_predicate_universe(trees, table_extractor.columns, config)
-    if stats is not None:
-        stats.universe_size = len(universe)
-    if not universe:
-        return None
-
-    pos_rows, neg_rows = _feature_matrix(universe, positives, negatives)
-    kept_indices = _deduplicate_features(universe, pos_rows, neg_rows)
-    if stats is not None:
-        stats.distinct_feature_vectors = len(kept_indices)
-    if not kept_indices:
-        return None
-
-    # ------------------------------------------------------------------ ILP
-    # Elements: (positive, negative) pairs; sets: pairs distinguished by each
-    # surviving predicate (Algorithm 4).
-    num_neg = len(neg_rows)
-    cover_sets: List[Set[int]] = []
-    for idx in kept_indices:
-        distinguished: Set[int] = set()
-        for p, pos_row in enumerate(pos_rows):
-            for n, neg_row in enumerate(neg_rows):
-                if pos_row[idx] != neg_row[idx]:
-                    distinguished.add(p * num_neg + n)
-        cover_sets.append(distinguished)
-    universe_pairs = set(range(len(pos_rows) * num_neg))
-
-    # Among equally-minimal covers, prefer predicates that hold on the
-    # positive tuples (false-on-positive counts as the per-set cost): they
-    # render as positive literals in the final DNF instead of negated ones.
-    polarity_costs = [
-        sum(1 for pos_row in pos_rows if not pos_row[idx]) for idx in kept_indices
-    ]
-    try:
-        chosen_positions = minimum_cover(
-            cover_sets,
-            universe_pairs,
-            strategy=config.cover_strategy,
-            exact_limit=config.exact_cover_limit,
-            costs=polarity_costs,
-        )
-    except CoverError:
-        return None
-
-    selected_indices = [kept_indices[i] for i in sorted(set(chosen_positions))]
-    selected = [universe[i] for i in selected_indices]
-    if stats is not None:
-        stats.selected_predicates = len(selected)
-
-    # --------------------------------------------------------- QM minimization
-    num_vars = len(selected)
-    pos_assignments = {
-        tuple(int(pos_rows[p][i]) for i in selected_indices) for p in range(len(pos_rows))
-    }
-    neg_assignments = {
-        tuple(int(neg_rows[n][i]) for i in selected_indices) for n in range(len(neg_rows))
-    }
-    if pos_assignments & neg_assignments:
-        # The minimum cover guarantees this cannot happen; guard anyway.
-        return None
-
-    from .qm import bits_to_minterm
-
-    minterms = sorted(bits_to_minterm(bits) for bits in pos_assignments)
-    off_terms = {bits_to_minterm(bits) for bits in neg_assignments}
-    if num_vars <= 12:
-        all_terms = set(range(1 << num_vars))
-        dont_cares = sorted(all_terms - set(minterms) - off_terms)
-    else:  # pragma: no cover - extremely large selections
-        dont_cares = []
-
-    implicants = minimize(
-        num_vars, minterms, dont_cares, cover_strategy=config.cover_strategy
-    )
-    if stats is not None:
-        stats.dnf_terms = len(implicants)
-
-    terms: List[Predicate] = []
-    for implicant in implicants:
-        literals: List[Predicate] = []
-        for var_index, positive in implicant_to_clause(implicant):
-            literal = selected[var_index]
-            literals.append(literal if positive else Not(literal))
-        terms.append(conjoin(literals))
-    formula = disjoin(terms) if terms else True_()
-
-    # Final sanity check: the classifier must separate the labelled tuples.
-    if not all(eval_predicate(formula, t) for t in positives):
-        return None
-    if any(eval_predicate(formula, t) for t in negatives):
-        return None
-    return formula
 
 
 def classify_tuples_fast(
@@ -354,7 +101,11 @@ def classify_tuples_fast(
     max_rows: Optional[int] = None,
     context=None,
 ) -> Tuple[List[NodeTuple], List[NodeTuple]]:
-    """Hash-based twin of :func:`classify_tuples` (same tuples, same order).
+    """Split intermediate-table tuples into positive and negative examples.
+
+    Positive tuples are those whose data projection appears in the output
+    table of their example; every other tuple is negative (spurious), in the
+    order of the seed's row-by-row scan (a test oracle in ``tests/reference/``).
 
     Value-aware row equality coincides with python tuple equality (numeric
     cross-type equality included) for every scalar except NaN: ``set``
@@ -366,14 +117,10 @@ def classify_tuples_fast(
     a scan.  Column evaluations go through the shared per-tree cache when a
     context is provided.
     """
-    from .context import SynthesisContext, _is_nan
-
     if context is None:
         context = SynthesisContext()
     positives: List[NodeTuple] = []
     negatives: List[NodeTuple] = []
-    from itertools import product as _product
-
     for tree, output_rows in examples:
         columns = [context.eval_column(col, tree) for col in table_extractor.columns]
         total = 1
@@ -388,7 +135,7 @@ def classify_tuples_fast(
             for row in map(tuple, output_rows)
             if not any(_is_nan(value) for value in row)
         }
-        for node_tuple in _product(*columns):
+        for node_tuple in product(*columns):
             data_row = tuple(node.data for node in node_tuple)
             if data_row in expected:
                 positives.append(node_tuple)
@@ -397,7 +144,7 @@ def classify_tuples_fast(
     return positives, negatives
 
 
-def _learn_predicate_vectorized(
+def learn_predicate(
     examples: Sequence[Example],
     table_extractor: TableExtractor,
     config: SynthesisConfig = DEFAULT_CONFIG,
@@ -405,26 +152,19 @@ def _learn_predicate_vectorized(
     stats: Optional[PredicateLearningStats] = None,
     context=None,
 ) -> Optional[Predicate]:
-    """The bitmatrix engine: identical decisions, bitset representation.
+    """Algorithm 3: learn a filtering predicate for a candidate table extractor.
 
-    Every stage of Algorithm 3 runs on integer bitmasks over the example tuple
-    space: the universe is evaluated once per distinct column node
+    Returns ``None`` when the positive and negative tuples cannot be separated
+    by any boolean combination of predicates in the universe.
+
+    Every stage runs on integer bitmasks over the example tuple space: the
+    universe is evaluated once per distinct column node
     (:mod:`repro.synthesis.predicate_matrix`), feature deduplication compares
     mask integers, the Algorithm 4 cover instance packs (positive, negative)
     pairs into bits, and Quine–McCluskey minimizes over packed minterms.  The
-    solvers make the same tie-break choices as their list-based counterparts,
-    so the returned predicate is byte-identical to the seed learner's.
+    seed's tuple-by-tuple learner, kept as a test oracle in
+    ``tests/reference/``, returns the byte-identical predicate.
     """
-    from .bitset import full_mask, popcount
-    from .context import SynthesisContext
-    from .predicate_matrix import (
-        build_predicate_masks,
-        distinguishing_pairs_mask,
-        dnf_mask,
-    )
-    from .qm import minimize_bits
-    from .set_cover import minimum_cover_bits
-
     if context is None:
         context = SynthesisContext()
     trees = [tree for tree, _ in examples]
@@ -440,21 +180,19 @@ def _learn_predicate_vectorized(
         stats.negative_examples = len(negatives)
 
     if not positives:
-        from ..dsl.ast import False_
-
+        # The output tables are all empty only if the user supplied empty
+        # examples; nothing needs to be kept.
         return False_() if negatives else True_()
     if not negatives:
         return True_()
 
-    import time as _time
-
-    phase_start = _time.perf_counter()
+    phase_start = time.perf_counter()
     universe = construct_predicate_universe(
         trees, table_extractor.columns, config, context=context
     )
     if stats is not None:
         stats.universe_size = len(universe)
-        stats.universe_seconds = _time.perf_counter() - phase_start
+        stats.universe_seconds = time.perf_counter() - phase_start
     if not universe:
         return None
 
@@ -464,10 +202,8 @@ def _learn_predicate_vectorized(
     num_tuples = num_pos + num_neg
     tuples_full = full_mask(num_tuples)
 
-    phase_start = _time.perf_counter()
-    masks = build_predicate_masks(
-        universe, tuples, arity, context, cache=config.candidate_caching
-    )
+    phase_start = time.perf_counter()
+    masks = build_predicate_masks(universe, tuples, arity, context)
 
     # Feature deduplication: constant masks can never split a (positive,
     # negative) pair; equal masks keep only the simplest predicate.
@@ -496,11 +232,13 @@ def _learn_predicate_vectorized(
     ]
     pair_universe = full_mask(num_pos * num_neg)
     if stats is not None:
-        stats.bitmatrix_seconds = _time.perf_counter() - phase_start
-    phase_start = _time.perf_counter()
-    # Same polarity preference as the seed path: positives occupy the low
-    # ``num_pos`` bits of every truth mask, so the false-on-positive count is
-    # one popcount per kept predicate.
+        stats.bitmatrix_seconds = time.perf_counter() - phase_start
+    phase_start = time.perf_counter()
+    # Among equally-minimal covers, prefer predicates that hold on the
+    # positive tuples (false-on-positive counts as the per-set cost): they
+    # render as positive literals in the final DNF instead of negated ones.
+    # Positives occupy the low ``num_pos`` bits of every truth mask, so the
+    # count is one popcount per kept predicate.
     pos_mask = full_mask(num_pos)
     polarity_costs = [
         num_pos - popcount(masks[idx] & pos_mask) for idx in kept_indices
@@ -515,7 +253,7 @@ def _learn_predicate_vectorized(
         )
     except CoverError:
         if stats is not None:
-            stats.cover_seconds = _time.perf_counter() - phase_start
+            stats.cover_seconds = time.perf_counter() - phase_start
         return None
 
     selected_indices = [kept_indices[i] for i in sorted(set(chosen_positions))]
@@ -526,10 +264,8 @@ def _learn_predicate_vectorized(
 
     # --------------------------------------------------------- QM minimization
     num_vars = len(selected)
-    # Minterm of tuple t: predicate k contributes bit (num_vars-1-k) — the
-    # MSB-first packing the seed's bits_to_minterm uses.
-    from .bitset import iter_bits
-
+    # Minterm of tuple t: predicate k contributes bit (num_vars-1-k), MSB
+    # first, the order the implicant tuples' variables follow.
     minterms_of: List[int] = [0] * num_tuples
     for k, mask in enumerate(selected_masks):
         weight = 1 << (num_vars - 1 - k)
@@ -553,7 +289,7 @@ def _learn_predicate_vectorized(
     )
     if stats is not None:
         stats.dnf_terms = len(implicants)
-        stats.cover_seconds = _time.perf_counter() - phase_start
+        stats.cover_seconds = time.perf_counter() - phase_start
 
     clauses = [implicant_to_clause(implicant) for implicant in implicants]
     terms: List[Predicate] = []
@@ -580,8 +316,6 @@ def check_program(
     program: Program, examples: Sequence[Example]
 ) -> bool:
     """Verify that a program reproduces every output table exactly (as a set)."""
-    from ..dsl.semantics import run_program
-
     for tree, expected_rows in examples:
         produced = run_program(program, tree)
         for row in expected_rows:

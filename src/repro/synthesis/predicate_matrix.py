@@ -1,8 +1,8 @@
-"""Bitmatrix evaluation of the atomic-predicate universe (vectorized engine).
+"""Bitmatrix evaluation of the atomic-predicate universe.
 
-The seed learner evaluates every predicate of the universe Φ on every tuple of
-the intermediate table — ``O(|Φ| · |tuples|)`` node-extractor walks, the
-dominant cost of synthesis.  This module exploits the structure of the tuple
+A tuple-by-tuple learner evaluates every predicate of the universe Φ on every
+tuple of the intermediate table — ``O(|Φ| · |tuples|)`` node-extractor walks,
+the dominant cost of synthesis.  This module exploits the structure of the tuple
 space instead: the intermediate table is a cross product of per-column node
 lists, and every atomic predicate reads at most two tuple positions, so its
 truth value is a function of one node (``CompareConst``) or one node pair
@@ -62,7 +62,7 @@ class TupleSpace:
 
 
 def _compare_nodes(left: Optional[Node], op: Op, right: Optional[Node]) -> bool:
-    """Figure 7 node-comparison semantics (mirrors the seed ``evaluate``)."""
+    """Figure 7 node-comparison semantics."""
     if left is None or right is None:
         return False
     if left.is_leaf() and right.is_leaf():
@@ -135,28 +135,35 @@ def build_predicate_masks(
     tuples: Sequence[NodeTuple],
     arity: int,
     context: SynthesisContext,
-    *,
-    cache: bool = True,
 ) -> List[int]:
     """Evaluate the whole universe over the tuple space, one bitmask per predicate.
 
     The bit order matches the tuple order (bit *i* ↔ ``tuples[i]``), so a mask
-    equals the seed's per-tuple truth vector packed LSB-first.
+    equals the per-tuple truth vector packed LSB-first.
 
-    With ``cache`` on, each predicate's satisfying node set is looked up in
-    the context's candidate-level cache, keyed by the predicate's behavioural
-    parts plus the *sorted uid signature* of the column(s) it reads — the
-    satisfying set depends on which nodes a column holds, never on their
-    order or on the other columns.  Hits skip evaluation entirely and only
-    recompose the tuple bitmask; misses evaluate and populate the cache.
-    The produced masks are identical either way (the cache stores exact
-    node-level decisions, not approximations).
+    Each predicate's satisfying node set is looked up in the context's
+    candidate-level cache, keyed by the predicate's behavioural parts plus the
+    *sorted uid signature* of the column(s) it reads — the satisfying set
+    depends on which nodes a column holds, never on their order or on the
+    other columns.  Hits skip evaluation entirely and only recompose the
+    tuple bitmask; misses evaluate and populate the cache.  The produced masks
+    are identical either way (the cache stores exact node-level decisions,
+    not approximations).
     """
     space = TupleSpace(tuples, arity)
     target_of = context.target_of
-    sat_cache = context.predicate_sat if cache else None
-    if sat_cache is not None:
-        column_sigs = [tuple(sorted(space.masks[c])) for c in range(arity)]
+    sat_cache = context.predicate_sat
+    column_sigs = [tuple(sorted(space.masks[c])) for c in range(arity)]
+
+    def satisfying(key, evaluate, *args):
+        hit = sat_cache.get(key)
+        if hit is None:
+            context.count("mask_misses")
+            hit = sat_cache[key] = evaluate(space, *args, target_of)
+        else:
+            context.count("mask_hits")
+        return hit
+
     masks: List[int] = []
     for predicate in universe:
         if isinstance(predicate, CompareConst):
@@ -164,73 +171,37 @@ def build_predicate_masks(
             if column >= arity:
                 masks.append(0)
                 continue
-            if sat_cache is not None:
-                key = (
-                    "const",
-                    predicate.extractor,
-                    predicate.op,
-                    predicate.constant,
-                    column_sigs[column],
-                )
-                satisfied = sat_cache.get(key)
-                if satisfied is None:
-                    context.count("mask_misses")
-                    satisfied = _const_satisfying_uids(
-                        space, column, predicate, target_of
-                    )
-                    sat_cache[key] = satisfied
-                else:
-                    context.count("mask_hits")
-            else:
-                satisfied = _const_satisfying_uids(space, column, predicate, target_of)
+            key = (
+                "const",
+                predicate.extractor,
+                predicate.op,
+                predicate.constant,
+                column_sigs[column],
+            )
+            satisfied = satisfying(key, _const_satisfying_uids, column, predicate)
             masks.append(compose_mask(satisfied, space.masks[column]))
         elif isinstance(predicate, CompareNodes):
             i, j = predicate.left_column, predicate.right_column
             if i >= arity or j >= arity:
                 masks.append(0)
                 continue
+            behaviour = (predicate.left_extractor, predicate.op, predicate.right_extractor)
             if i == j:
-                if sat_cache is not None:
-                    key = (
-                        "same",
-                        predicate.left_extractor,
-                        predicate.op,
-                        predicate.right_extractor,
-                        column_sigs[i],
-                    )
-                    satisfied = sat_cache.get(key)
-                    if satisfied is None:
-                        context.count("mask_misses")
-                        satisfied = _same_column_satisfying_uids(
-                            space, i, predicate, target_of
-                        )
-                        sat_cache[key] = satisfied
-                    else:
-                        context.count("mask_hits")
-                else:
-                    satisfied = _same_column_satisfying_uids(
-                        space, i, predicate, target_of
-                    )
+                satisfied = satisfying(
+                    ("same",) + behaviour + (column_sigs[i],),
+                    _same_column_satisfying_uids,
+                    i,
+                    predicate,
+                )
                 masks.append(compose_mask(satisfied, space.masks[i]))
             else:
-                if sat_cache is not None:
-                    key = (
-                        "pair",
-                        predicate.left_extractor,
-                        predicate.op,
-                        predicate.right_extractor,
-                        column_sigs[i],
-                        column_sigs[j],
-                    )
-                    pairs = sat_cache.get(key)
-                    if pairs is None:
-                        context.count("mask_misses")
-                        pairs = _pair_satisfying_uids(space, i, j, predicate, target_of)
-                        sat_cache[key] = pairs
-                    else:
-                        context.count("mask_hits")
-                else:
-                    pairs = _pair_satisfying_uids(space, i, j, predicate, target_of)
+                pairs = satisfying(
+                    ("pair",) + behaviour + (column_sigs[i], column_sigs[j]),
+                    _pair_satisfying_uids,
+                    i,
+                    j,
+                    predicate,
+                )
                 masks.append(compose_pair_mask(pairs, space.masks[i], space.masks[j]))
         else:  # pragma: no cover - Φ only contains atomic comparisons
             mask = 0
@@ -246,7 +217,7 @@ def distinguishing_pairs_mask(mask: int, num_pos: int, num_neg: int) -> int:
 
     Tuple bit layout: positives occupy bits ``0..num_pos-1`` and negatives
     bits ``num_pos..``.  Pair ``(p, n)`` maps to bit ``p * num_neg + n`` —
-    the exact element numbering of the seed's Algorithm 4 encoding — and is
+    the element numbering of the Algorithm 4 pair encoding — and is
     set iff the predicate's truth differs between positive *p* and negative
     *n*.
     """

@@ -173,16 +173,15 @@ def construct_predicate_universe(
         The column extractors π1..πk of the candidate table extractor ψ.
     context:
         Optional :class:`~repro.synthesis.context.SynthesisContext`.  When
-        provided (and ``config.candidate_caching`` is on), the per-column
-        valid-extractor sets χi and whole universes are cached by the
-        columns' *node-list signatures* and shared across the candidate table
-        extractors of a column, across output columns and across the tables
-        of a multi-table task: the universe is a pure function of which nodes
-        each column extracts (predicates embed node extractors and column
-        indices, never the column extractors themselves), so syntactically
-        different candidates that land on the same nodes reuse it outright.
-        Node-extractor applications go through the context's shared memo
-        regardless of the caching flag.
+        provided, the per-column valid-extractor sets χi and whole universes
+        are cached by the columns' *node-list signatures* and shared across
+        the candidate table extractors of a column, across output columns and
+        across the tables of a multi-table task: the universe is a pure
+        function of which nodes each column extracts (predicates embed node
+        extractors and column indices, never the column extractors
+        themselves), so syntactically different candidates that land on the
+        same nodes reuse it outright, and node-extractor applications go
+        through the context's shared memo.
 
     Returns
     -------
@@ -190,9 +189,8 @@ def construct_predicate_universe(
     ``config.max_predicate_universe``.
     """
     arity = len(column_extractors)
-    caching = context is not None and config.candidate_caching
     columns_key = None
-    if caching:
+    if context is not None:
         trees_key = context.trees_key(trees)
         sigs = tuple(
             context.column_signature(extractor, trees)
@@ -218,7 +216,7 @@ def construct_predicate_universe(
 
     chi: List[List[NodeExtractor]] = []
     for i in range(arity):
-        if caching:
+        if context is not None:
             chi_key = (trees_key, sigs[i])
             hit = context.chi.get(chi_key)
             if hit is not None:
@@ -231,7 +229,7 @@ def construct_predicate_universe(
             per_column_nodes[i],
             context,
         )
-        if caching:
+        if context is not None:
             context.chi[chi_key] = computed
         chi.append(computed)
 
@@ -280,6 +278,6 @@ def construct_predicate_universe(
                                 return
 
     build()
-    if caching:
+    if context is not None:
         context.universes[columns_key] = universe
     return universe

@@ -14,135 +14,24 @@ This module implements the textbook Quine–McCluskey method:
    (a set-cover instance, solved with the solvers of
    :mod:`repro.synthesis.set_cover`).
 
-An implicant over ``n`` variables is represented as a tuple of ``n`` entries
-from ``{0, 1, None}`` where ``None`` means "don't care about this variable".
+Internally an implicant is a pair of integers ``(value, care)`` over minterm
+bit positions: ``care`` has a 1 for every specified variable and
+``value ⊆ care`` gives their polarities.  The merge step is then one XOR, and
+candidate partners are found by popcount bucketing instead of an all-pairs
+scan.  Results are returned as tuples of ``n`` entries from ``{0, 1, None}``
+(``None`` means "don't care about this variable"), most significant variable
+first.  The seed's tuple-based minimizer, which returns the identical list, is
+kept as a test oracle in ``tests/reference/``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-from .set_cover import minimum_cover
-
-Implicant = Tuple[Optional[int], ...]
-
-
-def minterm_to_bits(minterm: int, num_vars: int) -> Tuple[int, ...]:
-    """Expand an integer minterm into a bit tuple, most significant bit first."""
-    return tuple((minterm >> (num_vars - 1 - i)) & 1 for i in range(num_vars))
-
-
-def bits_to_minterm(bits: Sequence[int]) -> int:
-    """Inverse of :func:`minterm_to_bits`."""
-    value = 0
-    for bit in bits:
-        value = (value << 1) | (1 if bit else 0)
-    return value
-
-
-def implicant_covers(implicant: Implicant, minterm_bits: Sequence[int]) -> bool:
-    """Does an implicant cover a fully-specified minterm?"""
-    return all(lit is None or lit == bit for lit, bit in zip(implicant, minterm_bits))
-
-
-def _merge(a: Implicant, b: Implicant) -> Optional[Implicant]:
-    """Merge two implicants differing in exactly one specified bit, else None."""
-    diff = 0
-    merged: List[Optional[int]] = []
-    for x, y in zip(a, b):
-        if x == y:
-            merged.append(x)
-        elif x is not None and y is not None:
-            diff += 1
-            if diff > 1:
-                return None
-            merged.append(None)
-        else:
-            return None
-    return tuple(merged) if diff == 1 else None
-
-
-def prime_implicants(
-    num_vars: int, minterms: Iterable[int], dont_cares: Iterable[int] = ()
-) -> List[Implicant]:
-    """Compute all prime implicants of the ON-set ∪ DC-set."""
-    terms: Set[Implicant] = {
-        tuple(minterm_to_bits(m, num_vars)) for m in set(minterms) | set(dont_cares)
-    }
-    if not terms:
-        return []
-    primes: Set[Implicant] = set()
-    current = terms
-    while current:
-        merged_any: Set[Implicant] = set()
-        used: Set[Implicant] = set()
-        current_list = sorted(
-            current,
-            key=lambda t: (
-                sum(1 for x in t if x == 1),
-                tuple(-1 if x is None else x for x in t),
-            ),
-        )
-        for i, a in enumerate(current_list):
-            for b in current_list[i + 1 :]:
-                merged = _merge(a, b)
-                if merged is not None:
-                    merged_any.add(merged)
-                    used.add(a)
-                    used.add(b)
-        primes |= current - used
-        current = merged_any
-    return sorted(primes, key=lambda t: (sum(1 for x in t if x is not None), t.__repr__()))
-
-
-def minimize(
-    num_vars: int,
-    minterms: Sequence[int],
-    dont_cares: Sequence[int] = (),
-    *,
-    cover_strategy: str = "auto",
-) -> List[Implicant]:
-    """Return a minimum set of implicants whose union covers exactly the ON-set.
-
-    The result is a sum-of-products (DNF) description: each implicant is one
-    product term.  Don't-care minterms may or may not be covered.
-    """
-    on_set = sorted(set(minterms))
-    if not on_set:
-        return []
-    if num_vars == 0:
-        # Only one row exists; it must be positive, so the formula is `true`.
-        return [tuple()]
-    primes = prime_implicants(num_vars, on_set, dont_cares)
-    on_bits = {m: minterm_to_bits(m, num_vars) for m in on_set}
-
-    cover_sets: List[Set[int]] = []
-    for prime in primes:
-        covered = {m for m, bits in on_bits.items() if implicant_covers(prime, bits)}
-        cover_sets.append(covered)
-
-    chosen = minimum_cover(cover_sets, set(on_set), strategy=cover_strategy)
-    # Prefer implicants with fewer literals when sorting the chosen terms, for
-    # reproducible, readable output.
-    selected = [primes[i] for i in sorted(set(chosen))]
-    selected.sort(key=lambda t: (sum(1 for x in t if x is not None), repr(t)))
-    return selected
-
-
-# --------------------------------------------------------------------------- #
-# Bitmask implementation
-# --------------------------------------------------------------------------- #
-#
-# The vectorized predicate learner represents an implicant as a pair of
-# integers ``(value, care)`` over minterm bit positions: ``care`` has a 1 for
-# every specified variable and ``value ⊆ care`` gives their polarities.  The
-# merge step then becomes one XOR, and candidate partners are found by popcount
-# bucketing instead of the all-pairs scan of :func:`prime_implicants` — the
-# prime-implicant *set* is identical (Quine–McCluskey primes are canonical),
-# and results are converted back to tuple form and sorted with the same key so
-# downstream selection is byte-for-byte the list-based behaviour.
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .bitset import full_mask, popcount
+from .set_cover import minimum_cover_bits
+
+Implicant = Tuple[Optional[int], ...]
 
 
 def _bits_implicant_to_tuple(value: int, care: int, num_vars: int) -> Implicant:
@@ -153,16 +42,18 @@ def _bits_implicant_to_tuple(value: int, care: int, num_vars: int) -> Implicant:
     return tuple(out)
 
 
-def prime_implicants_bits(
-    num_vars: int, minterms: Iterable[int], dont_cares: Iterable[int] = ()
-) -> List[Implicant]:
-    """Bitmask twin of :func:`prime_implicants` (identical result list)."""
+def _implicant_key(implicant: Implicant) -> Tuple[int, str]:
+    return (sum(1 for x in implicant if x is not None), repr(implicant))
+
+
+def _primes(
+    num_vars: int, minterms: Iterable[int], dont_cares: Iterable[int]
+) -> List[Tuple[Implicant, int, int]]:
+    """``(implicant, value, care)`` of every prime implicant, in output order."""
     care_all = full_mask(num_vars)
     current: Set[Tuple[int, int]] = {
         (m, care_all) for m in set(minterms) | set(dont_cares)
     }
-    if not current:
-        return []
     primes: Set[Tuple[int, int]] = set()
     while current:
         merged_any: Set[Tuple[int, int]] = set()
@@ -190,10 +81,19 @@ def prime_implicants_bits(
                             used.add((partner, care))
         primes |= current - used
         current = merged_any
-    tuples = [_bits_implicant_to_tuple(v, c, num_vars) for v, c in primes]
     return sorted(
-        tuples, key=lambda t: (sum(1 for x in t if x is not None), t.__repr__())
+        ((_bits_implicant_to_tuple(v, c, num_vars), v, c) for v, c in primes),
+        key=lambda prime: _implicant_key(prime[0]),
     )
+
+
+def prime_implicants_bits(
+    num_vars: int, minterms: Iterable[int], dont_cares: Iterable[int] = ()
+) -> List[Implicant]:
+    """Compute all prime implicants of the ON-set ∪ DC-set.
+
+    Sorted by literal count, then by tuple ``repr``."""
+    return [implicant for implicant, _, _ in _primes(num_vars, minterms, dont_cares)]
 
 
 def minimize_bits(
@@ -203,32 +103,23 @@ def minimize_bits(
     *,
     cover_strategy: str = "auto",
 ) -> List[Implicant]:
-    """Bitmask twin of :func:`minimize` (identical implicant selection).
+    """Return a minimum set of implicants whose union covers exactly the ON-set.
 
-    Elements of the cover instance are indexed by the sorted ON-set, which
-    orders them exactly like the minterm values the list-based path uses, so
-    the (tie-break-normalized) cover solvers make the same choices.
+    The result is a sum-of-products (DNF) description: each implicant is one
+    product term.  Don't-care minterms may or may not be covered.  Elements
+    of the cover instance are indexed by the sorted ON-set, and the chosen
+    terms are sorted by literal count, then ``repr``, for reproducible,
+    readable output.
     """
-    from .set_cover import minimum_cover_bits
-
     on_set = sorted(set(minterms))
     if not on_set:
         return []
     if num_vars == 0:
         return [tuple()]
-    primes = prime_implicants_bits(num_vars, on_set, dont_cares)
+    primes = _primes(num_vars, on_set, dont_cares)
 
     cover_masks: List[int] = []
-    for prime in primes:
-        care = 0
-        value = 0
-        for i, lit in enumerate(prime):
-            if lit is None:
-                continue
-            bit = 1 << (num_vars - 1 - i)
-            care |= bit
-            if lit:
-                value |= bit
+    for _, value, care in primes:
         covered = 0
         for position, m in enumerate(on_set):
             if (m & care) == value:
@@ -238,16 +129,9 @@ def minimize_bits(
     chosen = minimum_cover_bits(
         cover_masks, full_mask(len(on_set)), strategy=cover_strategy
     )
-    selected = [primes[i] for i in sorted(set(chosen))]
-    selected.sort(key=lambda t: (sum(1 for x in t if x is not None), repr(t)))
-    return selected
+    return sorted((primes[i][0] for i in set(chosen)), key=_implicant_key)
 
 
 def implicant_to_clause(implicant: Implicant) -> List[Tuple[int, bool]]:
     """Convert an implicant into a list of (variable index, positive?) literals."""
     return [(i, bool(bit)) for i, bit in enumerate(implicant) if bit is not None]
-
-
-def evaluate_dnf(implicants: Sequence[Implicant], assignment: Sequence[int]) -> bool:
-    """Evaluate a sum-of-products form on a full variable assignment."""
-    return any(implicant_covers(imp, assignment) for imp in implicants)

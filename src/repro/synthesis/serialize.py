@@ -63,21 +63,16 @@ from ..dsl.serialize import (
 )
 from ..hdt.node import Node
 from ..hdt.tree import HDT
+from .column_learner import CHILDREN, DESCENDANTS, PCHILDREN
 from .config import SynthesisConfig
 from .context import SynthesisContext, _is_nan
 
 CONTEXT_FORMAT_VERSION = 2
-"""Bumped whenever the context wire format changes incompatibly.
-
-Version history:
-
-1. χi entries keyed by column-extractor AST, universe entries by candidate
-   column-AST tuples.
-2. Both are keyed by **node-list signatures** — per-tree preorder-position
-   lists naming the nodes a column extracts — matching the in-memory cache
-   keys of :class:`~repro.synthesis.context.SynthesisContext`.  Version-1
-   payloads still load: their column ASTs are evaluated against the matched
-   trees to reconstruct the signatures.
+"""Bumped whenever the context wire format changes incompatibly; only this
+version loads.  Version 2 keys χi and universe entries by **node-list
+signatures** (per-tree preorder positions of the nodes a column extracts),
+matching the in-memory cache keys of
+:class:`~repro.synthesis.context.SynthesisContext`.
 """
 
 _OP_FIELDS = {"constant_ops", "node_pair_ops"}
@@ -133,12 +128,6 @@ def config_fingerprint(config: SynthesisConfig) -> str:
 
 def _symbol_to_json(symbol: Tuple) -> Json:
     return list(symbol)
-
-
-def _symbol_from_json(payload: Json) -> Tuple:
-    if not isinstance(payload, list) or not payload:
-        raise SerializationError(f"malformed alphabet symbol payload: {payload!r}")
-    return tuple(payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -291,6 +280,27 @@ def serialize_context(context: SynthesisContext) -> Json:
     return payload
 
 
+def _index(value: Json, size: int, what: str) -> int:
+    """A list index from the wire: an int (not a bool) inside ``[0, size)``."""
+    if type(value) is not int or not 0 <= value < size:
+        raise SerializationError(f"{what} {value!r} is out of range")
+    return value
+
+
+_SYMBOL_ARITY = {CHILDREN: 2, DESCENDANTS: 2, PCHILDREN: 3}
+
+
+def _symbol_from_json(payload: Json) -> Tuple:
+    if (
+        not isinstance(payload, list)
+        or not payload
+        or not isinstance(payload[0], str)
+        or _SYMBOL_ARITY.get(payload[0]) != len(payload)
+    ):
+        raise SerializationError(f"malformed alphabet symbol payload: {payload!r}")
+    return tuple(payload)
+
+
 def deserialize_context(
     payload: Json,
     trees: Sequence[HDT],
@@ -303,22 +313,50 @@ def deserialize_context(
     given, entries are merged into it without overwriting anything already
     present (used to fold ``--jobs`` worker payloads back into the parent);
     otherwise a fresh context is returned.
+
+    A payload that is not a version-2 context, or has any malformed entry,
+    raises :class:`SerializationError` and leaves ``context`` untouched.
     """
     if not isinstance(payload, dict) or payload.get("kind") != "synthesis_context":
         raise SerializationError("payload is not a serialized synthesis context")
-    version = payload.get("version", CONTEXT_FORMAT_VERSION)
-    if version > CONTEXT_FORMAT_VERSION:
+    version = payload.get("version")
+    if type(version) is not int or version != CONTEXT_FORMAT_VERSION:
         raise SerializationError(
-            f"context format version {version} is newer than supported "
-            f"({CONTEXT_FORMAT_VERSION})"
+            f"unsupported context format version {version!r} "
+            f"(this build reads version {CONTEXT_FORMAT_VERSION})"
         )
+    try:
+        facts, caches = _decode_context(payload, trees)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as error:
+        # Decoding indexes into the payload directly; any of these means an
+        # entry does not have the shape the serializer writes.
+        raise SerializationError(f"malformed synthesis context: {error!r}") from error
+
     if context is None:
         context = SynthesisContext()
+    for tree, alphabet, constants, value_classes in facts:
+        tree_facts = context.facts(tree)
+        if alphabet is not None and not tree_facts.has_alphabet():
+            tree_facts.preload_alphabet(alphabet)
+        if constants is not None and not tree_facts.has_constants():
+            tree_facts.preload_constants(constants)
+        if value_classes is not None and tree_facts.value_classes() is None:
+            tree_facts.preload_value_classes(value_classes)
+    targets = (context.column_results, context.chi, context.universes)
+    for target, decoded in zip(targets, caches):
+        for key, value in decoded.items():
+            target.setdefault(key, value)
+    return context
 
+
+def _decode_context(payload: Dict, trees: Sequence[HDT]):
+    """Per-tree facts and the three cache dictionaries of a version-2 payload."""
+    tree_entries = payload.get("trees", [])
     by_fingerprint = {tree.content_fingerprint(): tree for tree in trees}
     matched: Dict[int, HDT] = {}
     nodes_of: Dict[int, List[Node]] = {}
-    for position, entry in enumerate(payload.get("trees", [])):
+    facts = []
+    for position, entry in enumerate(tree_entries):
         tree = by_fingerprint.get(entry.get("fingerprint"))
         if tree is None:
             continue
@@ -327,33 +365,38 @@ def deserialize_context(
             continue  # defensive: fingerprint match implies equal size
         matched[position] = tree
         nodes_of[position] = preorder
-        facts = context.facts(tree)
-        if "alphabet" in entry and not facts.has_alphabet():
-            facts.preload_alphabet(
-                [_symbol_from_json(s) for s in entry["alphabet"]]
-            )
-        if "constants" in entry and not facts.has_constants():
-            facts.preload_constants(
-                [scalar_from_json(c) for c in entry["constants"]]
-            )
-        if "value_classes" in entry and facts.value_classes() is None:
-            facts.preload_value_classes(
-                {
-                    scalar_from_json(value): frozenset(
-                        preorder[pos].uid for pos in positions
-                    )
-                    for value, positions in entry["value_classes"]
-                }
-            )
+        alphabet = constants = value_classes = None
+        if "alphabet" in entry:
+            alphabet = [_symbol_from_json(s) for s in entry["alphabet"]]
+        if "constants" in entry:
+            constants = [scalar_from_json(c) for c in entry["constants"]]
+        if "value_classes" in entry:
+            value_classes = {
+                scalar_from_json(value): frozenset(
+                    preorder[_index(pos, len(preorder), "node position")].uid
+                    for pos in positions
+                )
+                for value, positions in entry["value_classes"]
+            }
+        facts.append((tree, alphabet, constants, value_classes))
 
-    def trees_key(refs: List[int]) -> Optional[Tuple[int, ...]]:
-        key = []
-        for ref in refs:
-            tree = matched.get(ref)
-            if tree is None:
-                return None
-            key.append(id(tree))
-        return tuple(key)
+    def trees_key(entry: Dict) -> Optional[Tuple[int, ...]]:
+        refs = [_index(ref, len(tree_entries), "tree reference") for ref in entry["trees"]]
+        if not all(ref in matched for ref in refs):
+            return None
+        return tuple(id(matched[ref]) for ref in refs)
+
+    def pooled(pool: List, refs: Json) -> List:
+        return [pool[_index(ref, len(pool), "pool reference")] for ref in refs]
+
+    def sig_from_json(refs: List[int], payload_sig: Json) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(
+            tuple(
+                nodes_of[ref][_index(pos, len(nodes_of[ref]), "node position")].uid
+                for pos in positions
+            )
+            for ref, positions in zip(refs, payload_sig)
+        )
 
     # Decode each pooled AST exactly once; every reference shares the object
     # (the AST dataclasses are frozen, so sharing is safe).
@@ -365,59 +408,32 @@ def deserialize_context(
         predicate_from_json(p) for p in payload.get("predicates_pool", [])
     ]
 
+    column_results: Dict = {}
     for entry in payload.get("column_results", []):
-        key = trees_key(entry["trees"])
-        if key is None:
-            continue
-        values = tuple(
-            tuple(scalar_from_json(v) for v in example) for example in entry["values"]
-        )
-        context.column_results.setdefault(
-            (key, values), [columns_pool[e] for e in entry["extractors"]]
-        )
+        key = trees_key(entry)
+        if key is not None:
+            values = tuple(
+                tuple(scalar_from_json(v) for v in example) for example in entry["values"]
+            )
+            column_results.setdefault(
+                (key, values), pooled(columns_pool, entry["extractors"])
+            )
 
-    def sig_from_json(refs: List[int], payload_sig: Json) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(
-            tuple(nodes_of[ref][pos].uid for pos in positions)
-            for ref, positions in zip(refs, payload_sig)
-        )
-
-    def legacy_signature(column, refs: List[int]) -> Tuple[Tuple[int, ...], ...]:
-        # Version-1 entries carry the column AST; evaluating it against the
-        # matched trees reconstructs the node-list signature the in-memory
-        # caches key by today.
-        return context.column_signature(column, [matched[ref] for ref in refs])
-
+    chi: Dict = {}
     for entry in payload.get("chi", []):
-        key = trees_key(entry["trees"])
-        if key is None:
-            continue
-        if "signature" in entry:
+        key = trees_key(entry)
+        if key is not None:
             sig = sig_from_json(entry["trees"], entry["signature"])
-        else:
-            sig = legacy_signature(columns_pool[entry["column"]], entry["trees"])
-        context.chi.setdefault(
-            (key, sig), [node_extractors_pool[e] for e in entry["extractors"]]
-        )
+            chi.setdefault((key, sig), pooled(node_extractors_pool, entry["extractors"]))
 
+    universes: Dict = {}
     for entry in payload.get("universes", []):
-        key = trees_key(entry["trees"])
-        if key is None:
-            continue
-        if "signatures" in entry:
-            sigs = tuple(
-                sig_from_json(entry["trees"], sig) for sig in entry["signatures"]
-            )
-        else:
-            sigs = tuple(
-                legacy_signature(columns_pool[c], entry["trees"])
-                for c in entry["columns"]
-            )
-        context.universes.setdefault(
-            (key, sigs), [predicates_pool[p] for p in entry["predicates"]]
-        )
+        key = trees_key(entry)
+        if key is not None:
+            sigs = tuple(sig_from_json(entry["trees"], sig) for sig in entry["signatures"])
+            universes.setdefault((key, sigs), pooled(predicates_pool, entry["predicates"]))
 
-    return context
+    return facts, (column_results, chi, universes)
 
 
 def context_dumps(context: SynthesisContext, *, indent: int = 2) -> str:

@@ -29,13 +29,15 @@ as the small-instance solver but replaces the per-node python bit scans with
 a numpy-precomputed element order, which makes the exact answer affordable at
 bitmatrix scale.
 
-All solvers return indices of the selected sets.  ``minimum_cover`` is the
-strategy-dispatching entry point.
+Set *k* is an integer mask whose bit *e* says "set *k* contains element *e*".
+All solvers return indices of the selected sets; :func:`minimum_cover_bits`
+dispatches on the strategy.  The seed's set-based solvers, which these match
+decision for decision, are test oracles in ``tests/reference/``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,160 +50,11 @@ except Exception:  # pragma: no cover - environment without scipy
     _HAVE_SCIPY_MILP = False
 
 
+from .bitset import iter_bits, popcount
+
+
 class CoverError(Exception):
     """Raised when no cover exists (some element is contained in no set)."""
-
-
-def _check_coverable(sets: Sequence[FrozenSet[int]], universe: FrozenSet[int]) -> None:
-    covered: Set[int] = set()
-    for s in sets:
-        covered |= s
-    missing = universe - covered
-    if missing:
-        raise CoverError(f"{len(missing)} elements cannot be covered by any set")
-
-
-def _normalize(sets: Sequence[Set[int]]) -> List[FrozenSet[int]]:
-    return [frozenset(s) for s in sets]
-
-
-# --------------------------------------------------------------------------- #
-# Greedy approximation
-# --------------------------------------------------------------------------- #
-
-
-def greedy_cover(sets: Sequence[Set[int]], universe: Set[int]) -> List[int]:
-    """Classic greedy set cover: repeatedly take the set covering most remaining."""
-    normalized = _normalize(sets)
-    target = frozenset(universe)
-    _check_coverable(normalized, target)
-    remaining = set(target)
-    chosen: List[int] = []
-    while remaining:
-        best_idx = -1
-        best_gain = 0
-        for idx, s in enumerate(normalized):
-            gain = len(s & remaining)
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = idx
-        if best_idx < 0:  # pragma: no cover - guarded by _check_coverable
-            raise CoverError("greedy cover failed to make progress")
-        chosen.append(best_idx)
-        remaining -= normalized[best_idx]
-    return chosen
-
-
-# --------------------------------------------------------------------------- #
-# Exact branch and bound
-# --------------------------------------------------------------------------- #
-
-
-def branch_and_bound_cover(
-    sets: Sequence[Set[int]], universe: Set[int], *, max_nodes: int = 200_000
-) -> List[int]:
-    """Exact minimum set cover by branch and bound.
-
-    Branches on the uncovered element contained in the fewest sets (the most
-    constrained element), uses the greedy solution as the initial upper bound,
-    and prunes with a simple lower bound (ceil of remaining / largest set).
-    ``max_nodes`` caps the search; if exceeded, the best solution found so far
-    (at worst the greedy one) is returned, which keeps the solver total.
-    """
-    normalized = _normalize(sets)
-    target = frozenset(universe)
-    _check_coverable(normalized, target)
-
-    best = greedy_cover(sets, set(universe))
-    best_size = len(best)
-
-    # element -> indices of sets containing it
-    containing: Dict[int, List[int]] = {e: [] for e in target}
-    for idx, s in enumerate(normalized):
-        for e in s:
-            if e in containing:
-                containing[e].append(idx)
-
-    max_set_size = max((len(s) for s in normalized), default=1) or 1
-    nodes_visited = 0
-
-    def lower_bound(remaining: FrozenSet[int]) -> int:
-        return -(-len(remaining) // max_set_size)  # ceiling division
-
-    def search(remaining: FrozenSet[int], chosen: List[int]) -> None:
-        nonlocal best, best_size, nodes_visited
-        nodes_visited += 1
-        if nodes_visited > max_nodes:
-            return
-        if not remaining:
-            if len(chosen) < best_size:
-                best = list(chosen)
-                best_size = len(chosen)
-            return
-        if len(chosen) + lower_bound(remaining) >= best_size:
-            return
-        # Most constrained uncovered element; ties broken by the smallest
-        # element so the search order is well-defined (the bitmask solver
-        # makes the identical choices, which keeps both solvers returning the
-        # same optimal cover rather than an arbitrary one of equal size).
-        pivot = min(remaining, key=lambda e: (len(containing[e]), e))
-        for idx in containing[pivot]:
-            search(remaining - normalized[idx], chosen + [idx])
-
-    search(target, [])
-    return best
-
-
-# --------------------------------------------------------------------------- #
-# 0-1 ILP via scipy
-# --------------------------------------------------------------------------- #
-
-
-def ilp_cover(sets: Sequence[Set[int]], universe: Set[int]) -> List[int]:
-    """Solve minimum set cover as a 0-1 integer linear program (HiGHS)."""
-    normalized = _normalize(sets)
-    elements = sorted(universe)
-    target = frozenset(elements)
-    _check_coverable(normalized, target)
-    if not elements:
-        return []
-    if not _HAVE_SCIPY_MILP:  # pragma: no cover - environment without scipy
-        return branch_and_bound_cover(sets, set(universe))
-
-    element_index = {e: i for i, e in enumerate(elements)}
-    rows, cols = [], []
-    for set_idx, s in enumerate(normalized):
-        for e in s:
-            if e in element_index:
-                rows.append(element_index[e])
-                cols.append(set_idx)
-    data = np.ones(len(rows))
-    matrix = csr_matrix((data, (rows, cols)), shape=(len(elements), len(normalized)))
-
-    objective = np.ones(len(normalized))
-    constraint = LinearConstraint(matrix, lb=np.ones(len(elements)), ub=np.inf)
-    result = milp(
-        c=objective,
-        constraints=[constraint],
-        integrality=np.ones(len(normalized)),
-        bounds=None,
-    )
-    if not result.success or result.x is None:  # pragma: no cover - solver hiccup
-        return branch_and_bound_cover(sets, set(universe))
-    return [idx for idx, val in enumerate(result.x) if val > 0.5]
-
-
-# --------------------------------------------------------------------------- #
-# Bitmask solvers
-# --------------------------------------------------------------------------- #
-#
-# The vectorized predicate learner represents cover instances as integers: set
-# k is a mask whose bit e says "set k contains element e".  The solvers below
-# mirror the list-based ones decision for decision (same greedy tie-breaks,
-# same branch-and-bound pivoting), so both representations return the same
-# cover — the equivalence tests rely on that.
-
-from .bitset import bits_to_set, full_mask, iter_bits, mask_from_indices, popcount
 
 
 def _check_coverable_bits(masks: Sequence[int], universe_mask: int) -> None:
@@ -214,7 +67,9 @@ def _check_coverable_bits(masks: Sequence[int], universe_mask: int) -> None:
 
 
 def greedy_cover_bits(masks: Sequence[int], universe_mask: int) -> List[int]:
-    """Greedy set cover over bitmask sets (same choices as :func:`greedy_cover`)."""
+    """Classic greedy set cover: repeatedly take the set covering most remaining.
+
+    Ties keep the lowest set index."""
     _check_coverable_bits(masks, universe_mask)
     remaining = universe_mask
     chosen: List[int] = []
@@ -236,12 +91,15 @@ def greedy_cover_bits(masks: Sequence[int], universe_mask: int) -> List[int]:
 def branch_and_bound_cover_bits(
     masks: Sequence[int], universe_mask: int, *, max_nodes: int = 200_000
 ) -> List[int]:
-    """Exact minimum cover over bitmask sets.
+    """Exact minimum cover by branch and bound.
 
     Pivots on the uncovered element contained in the fewest sets (ties: the
-    smallest element) and branches over its containing sets in index order —
-    the identical search tree as :func:`branch_and_bound_cover`, with set
-    difference and cardinality replaced by single integer operations.
+    smallest element, so the search order is well-defined) and branches over
+    its containing sets in index order.  The greedy solution is the initial
+    upper bound, and a simple lower bound (ceil of remaining / largest set)
+    prunes.  ``max_nodes`` caps the search; if exceeded, the best solution
+    found so far (at worst the greedy one) is returned, which keeps the
+    solver total.
     """
     _check_coverable_bits(masks, universe_mask)
 
@@ -257,8 +115,7 @@ def branch_and_bound_cover_bits(
     nodes_visited = 0
 
     def pivot_of(remaining: int) -> int:
-        # Ascending-bit scan with strict `<`: ties keep the smallest element,
-        # matching the set solver's min-by-(count, element) pivot exactly.
+        # Ascending-bit scan with strict `<`: ties keep the smallest element.
         best_element = -1
         best_count = None
         for element in iter_bits(remaining):
@@ -291,8 +148,40 @@ def branch_and_bound_cover_bits(
 
 
 def ilp_cover_bits(masks: Sequence[int], universe_mask: int) -> List[int]:
-    """0-1 ILP cover over bitmask sets (delegates to :func:`ilp_cover`)."""
-    return ilp_cover([bits_to_set(m) for m in masks], bits_to_set(universe_mask))
+    """Solve minimum cover as a 0-1 integer linear program (HiGHS).
+
+    Row *r* of the constraint matrix is the *r*-th element of the universe in
+    ascending order and column *k* is set *k*.  Without scipy, or if the
+    solver fails, the exact branch and bound answers instead.
+    """
+    _check_coverable_bits(masks, universe_mask)
+    if not universe_mask:
+        return []
+    if not _HAVE_SCIPY_MILP:  # pragma: no cover - environment without scipy
+        return branch_and_bound_cover_bits(masks, universe_mask)
+
+    width = universe_mask.bit_length()
+    in_universe = _mask_to_bools_np(universe_mask, width)
+    row_of = np.cumsum(in_universe) - 1
+    rows, cols = [], []
+    for set_idx, mask in enumerate(masks):
+        elements = np.nonzero(_mask_to_bools_np(mask & universe_mask, width))[0]
+        rows.append(row_of[elements])
+        cols.append(np.full(len(elements), set_idx))
+    num_elements = int(row_of[-1]) + 1
+    matrix = csr_matrix(
+        (np.ones(sum(len(r) for r in rows)), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(num_elements, len(masks)),
+    )
+    result = milp(
+        c=np.ones(len(masks)),
+        constraints=[LinearConstraint(matrix, lb=np.ones(num_elements), ub=np.inf)],
+        integrality=np.ones(len(masks)),
+        bounds=None,
+    )
+    if not result.success or result.x is None:  # pragma: no cover - solver hiccup
+        return branch_and_bound_cover_bits(masks, universe_mask)
+    return [idx for idx, val in enumerate(result.x) if val > 0.5]
 
 
 #: Node budget for the large-instance exact search.  Real predicate-learning
@@ -448,7 +337,14 @@ def minimum_cover_bits(
     exact_limit: int = 26,
     costs: Optional[Sequence[int]] = None,
 ) -> List[int]:
-    """Bitmask twin of :func:`minimum_cover` (same strategies, same answers)."""
+    """Select a minimum (or near-minimum) family of sets covering ``universe_mask``.
+
+    ``strategy`` is one of ``auto``, ``ilp``, ``branch_and_bound`` or
+    ``greedy``.  ``auto`` uses exact branch and bound for small instances and
+    the large-instance exact search otherwise, falling back to HiGHS when that
+    search exhausts its node budget; ``greedy`` is only approximate and exists
+    for ablations and as a last-resort fallback.
+    """
     if not universe_mask:
         return []
     if strategy == "greedy":
@@ -465,50 +361,3 @@ def minimum_cover_bits(
     if complete or not _HAVE_SCIPY_MILP:
         return cover
     return ilp_cover_bits(masks, universe_mask)
-
-
-# --------------------------------------------------------------------------- #
-# Dispatch
-# --------------------------------------------------------------------------- #
-
-
-def minimum_cover(
-    sets: Sequence[Set[int]],
-    universe: Set[int],
-    *,
-    strategy: str = "auto",
-    exact_limit: int = 26,
-    costs: Optional[Sequence[int]] = None,
-) -> List[int]:
-    """Select a minimum (or near-minimum) family of sets covering ``universe``.
-
-    ``strategy`` is one of ``auto``, ``ilp``, ``branch_and_bound`` or
-    ``greedy``.  ``auto`` uses exact branch and bound for small instances and
-    the large-instance exact search otherwise, falling back to HiGHS when that
-    search exhausts its node budget; ``greedy`` is only approximate and exists
-    for ablations and as a last-resort fallback.
-    """
-    if not universe:
-        return []
-    if strategy == "greedy":
-        return greedy_cover(sets, universe)
-    if strategy == "branch_and_bound":
-        return branch_and_bound_cover(sets, universe)
-    if strategy == "ilp":
-        return ilp_cover(sets, universe)
-    if strategy != "auto":
-        raise ValueError(f"unknown cover strategy: {strategy!r}")
-    if len(sets) <= exact_limit:
-        return branch_and_bound_cover(sets, universe)
-    # Delegate to the bitmask search through a dense element renumbering so
-    # the list and bitmask representations keep returning the same cover.
-    elements = sorted(universe)
-    element_index = {e: i for i, e in enumerate(elements)}
-    masks = [
-        mask_from_indices(element_index[e] for e in s if e in element_index)
-        for s in sets
-    ]
-    cover, complete = exact_cover_bits(masks, full_mask(len(elements)), costs=costs)
-    if complete or not _HAVE_SCIPY_MILP:
-        return cover
-    return ilp_cover(sets, universe)

@@ -18,26 +18,20 @@ benchmark suite and evaluation harness build upon.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dsl.ast import Predicate, Program, TableExtractor, True_
+from ..dsl.ast import Predicate, Program, TableExtractor
 from ..dsl.cost import program_cost
 from ..dsl.pretty import pretty_program
-from ..dsl.semantics import eval_column_on_tree, run_program
+from ..dsl.semantics import run_program
 from ..hdt.node import Scalar
 from ..hdt.tree import HDT
 from .column_learner import ColumnLearningError, learn_column_extractors
 from .config import DEFAULT_CONFIG, SynthesisConfig
 from .context import SynthesisContext, _is_nan
-from .predicate_learner import (
-    PredicateLearningStats,
-    check_program,
-    learn_predicate,
-    row_in_table,
-)
+from .predicate_learner import PredicateLearningStats, learn_predicate
 
 Row = Tuple[Scalar, ...]
 
@@ -190,17 +184,16 @@ class Synthesizer:
     """Programming-by-example synthesizer for tree-to-table transformations.
 
     A synthesizer owns a :class:`~repro.synthesis.context.SynthesisContext`
-    shared across all its :meth:`synthesize` calls (vectorized engine only):
-    the tables of a multi-table migration reuse per-tree indexes, learned
-    column-extractor lists, χi sets, predicate universes and node-extractor
-    target memos.  Pass an explicit ``context`` to share caches between
+    shared across all its :meth:`synthesize` calls: the tables of a
+    multi-table migration reuse per-tree indexes, learned column-extractor
+    lists, χi sets, predicate universes and node-extractor target memos.  Pass an explicit ``context`` to share caches between
     synthesizers with the same configuration.
 
-    ``jobs`` parallelizes the candidate-ψ stage *within* one task (vectorized
-    engine only): candidate table extractors are shipped to a process pool in
-    enumeration order and evaluated speculatively, while the parent replays
-    the serial control flow — strict-improvement tracking, stop conditions,
-    θ-cost winner selection — over the results in submission order.  Because
+    ``jobs`` parallelizes the candidate-ψ stage *within* one task: candidate
+    table extractors are shipped to a process pool in enumeration order and
+    evaluated speculatively, while the parent replays the serial control
+    flow — strict-improvement tracking, stop conditions, θ-cost winner
+    selection — over the results in submission order.  Because
     predicate learning is deterministic per candidate and the replay makes
     the same decisions on the same inputs, the learned program is
     byte-identical to a serial run; parallelism only changes how fast the
@@ -269,7 +262,7 @@ class Synthesizer:
         since_improvement = 0
         message = "no candidate table extractor admits a filtering predicate"
         aggregate = SynthesisStats()
-        counters_before = dict(self.context.counters) if config.vectorized else {}
+        counters_before = dict(self.context.counters)
 
         predicate_examples = [(ex.tree, ex.rows) for ex in task.examples]
         stream_state = {"timed_out": False}
@@ -278,7 +271,7 @@ class Synthesizer:
         import os
 
         workers = self.jobs if self.jobs else (os.cpu_count() or 1)
-        if config.vectorized and workers > 1:
+        if workers > 1:
             results = self._parallel_results(stream, predicate_examples, workers)
         else:
             results = (
@@ -319,12 +312,11 @@ class Synthesizer:
             results.close()
             stream.close()
 
-        if config.vectorized:
-            counters_after = self.context.counters
-            aggregate.cache_counters = {
-                name: counters_after.get(name, 0) - counters_before.get(name, 0)
-                for name in counters_after
-            }
+        counters_after = self.context.counters
+        aggregate.cache_counters = {
+            name: counters_after.get(name, 0) - counters_before.get(name, 0)
+            for name in counters_after
+        }
 
         elapsed = time.perf_counter() - start
         if best_program is None:
@@ -350,8 +342,6 @@ class Synthesizer:
     # ------------------------------------------------------------- internals
     def _learn_column(self, examples, config: SynthesisConfig) -> List:
         """Learn one column's extractor candidates, cached across tasks."""
-        if not config.vectorized:
-            return learn_column_extractors(examples, config)
         context = self.context
         key = (
             context.trees_key(tree for tree, _ in examples),
@@ -407,7 +397,7 @@ class Synthesizer:
                 table_extractor,
                 self.config,
                 stats=stats,
-                context=self.context if self.config.vectorized else None,
+                context=self.context,
             )
         except MemoryError:
             return ("memory", None, stats)
@@ -513,29 +503,16 @@ class Synthesizer:
 
         Every value of output column j must be producible by column extractor
         πj; otherwise no filtering predicate can recover the missing rows.
-        The vectorized engine answers from cached per-extractor value sets
-        (value-aware membership, NaN never matches); the seed path scans.
+        Answered from cached per-extractor value sets (value-aware membership,
+        NaN never matches), which agrees with a value-by-value scan.
         """
-        from ..dsl.semantics import compare_values
-        from ..dsl.ast import Op
-
-        if self.config.vectorized:
-            context = self.context
-            for example in examples:
-                for j, extractor in enumerate(table_extractor.columns):
-                    extracted = context.column_data_values(extractor, example.tree)
-                    for row in example.rows:
-                        value = row[j]
-                        if _is_nan(value) or value not in extracted:
-                            return False
-            return True
-
+        context = self.context
         for example in examples:
             for j, extractor in enumerate(table_extractor.columns):
-                values = [row[j] for row in example.rows]
-                extracted = [n.data for n in eval_column_on_tree(extractor, example.tree)]
-                for value in values:
-                    if not any(compare_values(value, Op.EQ, d) for d in extracted):
+                extracted = context.column_data_values(extractor, example.tree)
+                for row in example.rows:
+                    value = row[j]
+                    if _is_nan(value) or value not in extracted:
                         return False
         return True
 
@@ -544,12 +521,10 @@ class Synthesizer:
     ) -> bool:
         """Final verification that the program reproduces every output table.
 
-        The vectorized engine uses hash-based row membership (equivalent to
-        the value-aware scan) and the shared column-evaluation cache; the seed
-        path defers to :func:`check_program`.
+        Uses hash-based row membership, equivalent to the value-aware scan of
+        :func:`~repro.synthesis.predicate_learner.check_program`, and the
+        shared column-evaluation cache.
         """
-        if not self.config.vectorized:
-            return check_program(program, examples)
         context = self.context
         for tree, expected_rows in examples:
             produced = run_program(

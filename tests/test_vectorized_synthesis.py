@@ -1,10 +1,11 @@
-"""Equivalence of the bitset-vectorized synthesis engine and the seed algorithms.
+"""Equivalence of the synthesis engine and the seed algorithms.
 
-The vectorized engine (lazy product DFA, predicate bitmatrices, bitmask
-solvers) must be a pure performance transformation: on every task it returns a
-program semantically equivalent to the seed learner's — same output tables,
-same θ-cost — and in practice the identical pretty-printed program, which
-``test_seed_engine_learns_the_vectorized_dblp_plan`` pins on a whole schema.
+The engine (lazy product DFA, predicate bitmatrices, bitmask solvers, shared
+context caches) must be a pure performance transformation of the seed
+algorithms kept in ``tests/reference/``: on every task it returns the program
+the seed learner returns — same output tables, same θ-cost, the identical
+pretty-printed program.  The reference run uses no cache, so the same checks
+also show that caching never changes a learned program.
 """
 
 import hashlib
@@ -20,13 +21,13 @@ from repro.synthesis import (
     ColumnLearningError,
     SynthesisConfig,
     SynthesisContext,
-    learn_column_extractors_eager,
-    learn_column_extractors_lazy,
+    learn_column_extractors,
     synthesize,
 )
+from tests.reference.column_learner import learn_column_extractors_eager
+from tests.reference.synthesizer import use_reference_engine
 
 FAST = SynthesisConfig.fast()
-FAST_SEED = FAST.seed_variant()
 
 NAMES = ["ann", "bob", "cara", "dan", "eve", "fay"]
 CATEGORIES = ["red", "blue", "green"]
@@ -61,8 +62,8 @@ def _random_task(rnd: random.Random):
     Mixes the shapes that exercise every engine stage: plain projections
     (no filter), per-record joins (structural predicates), record-item joins
     (hierarchical predicates), and value-filtered subsets (constant
-    predicates).  Some tasks are unsolvable within the FAST bounds — both
-    engines must then agree on the failure.
+    predicates).  Some tasks are unsolvable within the FAST bounds — the
+    engine and the reference must then agree on the failure.
     """
     records = _random_document(rnd)
     tree = build_tree({"rec": records}, tag="root")
@@ -86,19 +87,31 @@ def _random_task(rnd: random.Random):
     return tree, rows
 
 
-def test_property_vectorized_equals_seed_on_random_tasks():
-    """≥100 random tasks: identical success, outputs, θ-cost and rendering."""
+def _reference_results(monkeypatch, synthesize_all):
+    """``synthesize_all()`` run on the engine, then on the seed oracle."""
+    fast_results = synthesize_all()
+    use_reference_engine(monkeypatch)
+    return fast_results, synthesize_all()
+
+
+def test_property_vectorized_equals_seed_on_random_tasks(monkeypatch):
+    """≥100 random tasks: identical success, failure, outputs, θ-cost and
+    rendering, between the engine with its caches and the uncached seed."""
     rnd = random.Random(20260727)
+    tasks = [_random_task(rnd) for _ in range(110)]
+    fast_results, seed_results = _reference_results(
+        monkeypatch,
+        lambda: [
+            synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
+            for trial, (tree, rows) in enumerate(tasks)
+        ],
+    )
     solved = 0
-    for trial in range(110):
-        tree, rows = _random_task(rnd)
-        fast_result = synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
-        seed_result = synthesize([(tree, rows)], config=FAST_SEED, name=f"t{trial}")
-        assert fast_result.success == seed_result.success, (
-            trial,
-            fast_result.message,
-            seed_result.message,
-        )
+    for trial, ((tree, _), fast_result, seed_result) in enumerate(
+        zip(tasks, fast_results, seed_results)
+    ):
+        outcome = (fast_result.success, fast_result.message)
+        assert outcome == (seed_result.success, seed_result.message), trial
         if not fast_result.success:
             continue
         solved += 1
@@ -130,9 +143,9 @@ def test_property_column_learner_lazy_equals_eager():
             eager = learn_column_extractors_eager(examples, FAST)
         except ColumnLearningError:
             with pytest.raises(ColumnLearningError):
-                learn_column_extractors_lazy(examples, FAST, context)
+                learn_column_extractors(examples, FAST, context)
             continue
-        lazy = learn_column_extractors_lazy(examples, FAST, context)
+        lazy = learn_column_extractors(examples, FAST, context)
         assert eager == lazy
         checked += 1
     assert checked >= 30
@@ -144,14 +157,14 @@ def test_column_learner_multi_example_parity():
     )
     tree2 = build_tree({"rec": [{"id": 9, "name": "z"}]}, tag="root")
     examples = [(tree1, ["a", "b"]), (tree2, ["z"])]
-    assert learn_column_extractors_eager(examples, FAST) == learn_column_extractors_lazy(
+    assert learn_column_extractors_eager(examples, FAST) == learn_column_extractors(
         examples, FAST
     )
 
 
 def test_column_learner_error_parity_value_absent():
     tree = build_tree({"rec": [{"id": 1}]}, tag="root")
-    for learner in (learn_column_extractors_eager, learn_column_extractors_lazy):
+    for learner in (learn_column_extractors_eager, learn_column_extractors):
         with pytest.raises(ColumnLearningError):
             learner([(tree, ["missing"])], FAST)
 
@@ -161,7 +174,7 @@ def test_column_learner_none_value_parity():
     tree = build_tree({"item": [{"name": "a"}]}, tag="root")
     examples = [(tree, [None])]
     eager = learn_column_extractors_eager(examples, FAST)
-    lazy = learn_column_extractors_lazy(examples, FAST)
+    lazy = learn_column_extractors(examples, FAST)
     assert eager == lazy
     assert eager  # compare_values(None, =, None) holds, so extractors exist
 
@@ -170,7 +183,7 @@ def test_column_learner_nan_value_rejected_by_both():
     """NaN equals nothing under compare_values — both engines must fail."""
     tree = build_tree({"item": [{"v": float("nan")}]}, tag="root")
     examples = [(tree, [float("nan")])]
-    for learner in (learn_column_extractors_eager, learn_column_extractors_lazy):
+    for learner in (learn_column_extractors_eager, learn_column_extractors):
         with pytest.raises(ColumnLearningError):
             learner(examples, FAST)
 
@@ -180,7 +193,8 @@ def test_classify_tuples_nan_identity_parity():
     identically in both implementations (negative: NaN equals nothing)."""
     from repro.dsl import Children, Var
     from repro.dsl.ast import TableExtractor
-    from repro.synthesis import classify_tuples, classify_tuples_fast
+    from repro.synthesis import classify_tuples_fast
+    from tests.reference.predicate_learner import classify_tuples
 
     shared_nan = float("nan")
     tree = build_tree({"rec": [{"v": shared_nan}, {"v": 1}]}, tag="root")
@@ -192,30 +206,33 @@ def test_classify_tuples_nan_identity_parity():
     assert seed_neg == fast_neg
 
 
-def test_synthesis_nan_output_parity():
-    """Tasks whose output rows contain NaN fail identically in both engines."""
+def test_synthesis_nan_output_parity(monkeypatch):
+    """Tasks whose output rows contain NaN fail identically in the engine and
+    the reference."""
     shared_nan = float("nan")
     tree = build_tree({"rec": [{"v": shared_nan}, {"v": 2}]}, tag="root")
     rows = [(shared_nan,), (2,)]
-    fast_result = synthesize([(tree, rows)], config=FAST)
-    seed_result = synthesize([(tree, rows)], config=FAST_SEED)
+    fast_result, seed_result = _reference_results(
+        monkeypatch, lambda: synthesize([(tree, rows)], config=FAST)
+    )
     assert fast_result.success == seed_result.success
 
 
-def test_multi_example_synthesis_parity():
+def test_multi_example_synthesis_parity(monkeypatch):
     tree1 = build_tree(
         {"emp": [{"name": "a", "dept": "x"}, {"name": "b", "dept": "y"}]}, tag="root"
     )
     tree2 = build_tree({"emp": [{"name": "c", "dept": "z"}]}, tag="root")
     examples = [(tree1, [("a", "x"), ("b", "y")]), (tree2, [("c", "z")])]
-    fast_result = synthesize(examples, config=FAST)
-    seed_result = synthesize(examples, config=FAST_SEED)
+    fast_result, seed_result = _reference_results(
+        monkeypatch, lambda: synthesize(examples, config=FAST)
+    )
     assert fast_result.success and seed_result.success
     assert pretty_program(fast_result.program) == pretty_program(seed_result.program)
 
 
-def test_stats_parity():
-    """The diagnostics collected by both engines agree."""
+def test_stats_parity(monkeypatch):
+    """The diagnostics collected by the engine and the reference agree."""
     tree = build_tree(
         {
             "rec": [
@@ -226,8 +243,9 @@ def test_stats_parity():
         tag="root",
     )
     rows = [(1, 5), (2, 7)]
-    fast_result = synthesize([(tree, rows)], config=FAST)
-    seed_result = synthesize([(tree, rows)], config=FAST_SEED)
+    fast_result, seed_result = _reference_results(
+        monkeypatch, lambda: synthesize([(tree, rows)], config=FAST)
+    )
     assert fast_result.success and seed_result.success
     assert fast_result.candidates_tried == seed_result.candidates_tried
     assert fast_result.column_candidates == seed_result.column_candidates
@@ -305,20 +323,6 @@ def test_parallel_engine_matches_serial():
             parallel[name].program
         )
         assert serial[name].data_columns == parallel[name].data_columns
-
-
-def test_seed_engine_learns_the_vectorized_dblp_plan():
-    """Multi-table byte-identity: the seed learner's DBLP plan is the
-    vectorized engine's, program for program and key rule for key rule."""
-    from repro.datasets import dblp
-    from repro.migration.engine import MigrationEngine
-    from repro.runtime import MigrationPlan
-
-    spec = dblp.dataset().migration_spec()
-    config = SynthesisConfig.for_migration()
-    vectorized = MigrationPlan.learn(spec, MigrationEngine(config))
-    seed = MigrationPlan.learn(spec, MigrationEngine(config.seed_variant(), jobs=2))
-    assert seed.content_fingerprint() == vectorized.content_fingerprint()
 
 
 #: ``xml_sensors_5c_v3``, a 5-column task from the slow tail of Table 1, and
