@@ -141,14 +141,15 @@ def xml_file_to_hdt(path: str, *, coerce_numbers: bool = True) -> HDT:
     return xml_to_hdt(tree.getroot(), coerce_numbers=coerce_numbers)
 
 
-def element_to_node(element: ET.Element, pos: int = 0, *, coerce_numbers: bool = True) -> Node:
+def element_to_node(element: ET.Element, pos: int = 0) -> Node:
     """Convert a single parsed XML element into a standalone HDT node.
 
     This is the record-level entry point used by the streaming runtime
     (:mod:`repro.runtime.streaming`), which parses documents incrementally
-    with a pull parser and converts one record subtree at a time.
+    with a pull parser and converts one record subtree at a time.  Numbers
+    are coerced, as :func:`xml_to_hdt` does by default.
     """
-    return _convert_element(element, pos=pos, coerce=coerce_numbers)
+    return _convert_element(element, pos=pos, coerce=True)
 
 
 def _convert_element(element: ET.Element, pos: int, coerce: bool) -> Node:

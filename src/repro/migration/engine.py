@@ -44,7 +44,15 @@ from ..optimizer.optimize import (
 from ..relational.schema import DatabaseSchema, TableSchema
 from ..synthesis.config import SynthesisConfig
 from ..synthesis.predicate_learner import rows_equal
-from ..synthesis.synthesizer import ExamplePair, SynthesisResult, SynthesisTask, Synthesizer
+from ..synthesis.synthesizer import (
+    ExamplePair,
+    SynthesisResult,
+    SynthesisTask,
+    Synthesizer,
+    resolve_jobs,
+    synthesis_pool,
+    worker_state,
+)
 from .keys import ForeignKeyRule, key_of, learn_link_rules
 
 
@@ -227,48 +235,20 @@ def _table_synthesis_task(
     )
 
 
-#: Per-process state of the synthesis pool: the example tree (unpickled once
-#: per worker) and a long-lived synthesizer whose context caches — tree
-#: automaton, χi sets, universes, column results — are shared by every table
-#: the worker handles, mirroring what the serial engine gets for free.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_synthesis_worker(
-    tree_bytes: bytes, config: SynthesisConfig, context_payload: Optional[dict] = None
-) -> None:
-    """Build the worker's tree and synthesizer, optionally seeded from a
-    persisted context payload (incremental mode): the worker rehydrates the
-    parent's :class:`~repro.synthesis.context.SynthesisContext` artifacts
-    against its own unpickled tree, so cached column results, χi sets and
-    universes are shared even across the process boundary.  Worker-*learned*
-    entries are not shipped back (the payloads would dwarf the results);
-    serial runs are what enrich the persisted context over time."""
-    import pickle
-
-    tree = pickle.loads(tree_bytes)
-    context = None
-    if context_payload is not None:
-        from ..synthesis.serialize import deserialize_context
-
-        context = deserialize_context(context_payload, [tree])
-    _WORKER_STATE["tree"] = tree
-    _WORKER_STATE["synthesizer"] = Synthesizer(config, context=context)
-
-
 def _synthesize_table_worker(
     payload: Tuple[str, List[Tuple[Scalar, ...]]]
 ) -> Tuple[str, SynthesisResult]:
     """Process-pool entry point: synthesize one table's program.
 
-    Runs in a worker process against the worker's copy of the example tree;
-    only the (picklable) :class:`SynthesisResult` travels back.  Example-row
+    Runs in a :func:`~repro.synthesis.synthesizer.synthesis_pool` worker,
+    against the worker's copy of the example tree and its long-lived
+    synthesizer, whose caches every table the worker handles shares; only
+    the (picklable) :class:`SynthesisResult` travels back.  Example-row
     alignment and foreign-key learning stay in the parent, where node
     identities refer to the parent's tree.
     """
     name, data_rows = payload
-    tree: HDT = _WORKER_STATE["tree"]  # type: ignore[assignment]
-    synthesizer: Synthesizer = _WORKER_STATE["synthesizer"]  # type: ignore[assignment]
+    synthesizer, (tree,) = worker_state()
     task = SynthesisTask(
         examples=[ExamplePair(tree, data_rows)], name=f"table:{name}"
     )
@@ -286,8 +266,8 @@ class MigrationEngine:
 
     ``jobs`` controls per-table synthesis parallelism: tables are independent
     synthesis problems, so with ``jobs > 1`` they are fanned out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=0`` uses the CPU
-    count).  Key-rule learning runs in the parent afterwards — it aligns
+    :func:`~repro.synthesis.synthesizer.synthesis_pool` (``jobs=0`` uses the
+    CPU count).  Key-rule learning runs in the parent afterwards — it aligns
     example rows against the parent's tree — and the learned programs are
     identical to a serial run.  When only one table needs synthesis, the
     worker budget is spent *inside* the synthesizer instead: its candidate
@@ -309,10 +289,8 @@ class MigrationEngine:
         jobs: int = 1,
         context=None,
     ) -> None:
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (got {jobs})")
         self.config = config if config is not None else SynthesisConfig.for_migration()
-        self.jobs = jobs
+        self.workers = resolve_jobs(jobs)
         self.synthesizer = Synthesizer(self.config, context=context)
 
     # ------------------------------------------------------------ synthesis
@@ -363,13 +341,8 @@ class MigrationEngine:
         self, spec: MigrationSpec, skip: Optional[set] = None
     ) -> Dict[str, SynthesisResult]:
         """Phase 1: per-table program synthesis, serial or process-parallel."""
-        jobs = self.jobs
-        if jobs == 1:
+        if self.workers == 1:
             return {}
-        import os
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-
         tables = [
             table_schema
             for table_schema in spec.schema.topological_order()
@@ -377,13 +350,12 @@ class MigrationEngine:
         ]
         if not tables:
             return {}
-        workers = jobs if jobs else os.cpu_count() or 1
         if len(tables) == 1:
             # A table-level pool is useless for a single table; fan out over
             # its candidate table extractors instead.  The candidate stage is
             # deterministic, so the program is identical to a serial run.
             synthesizer = Synthesizer(
-                self.config, context=self.synthesizer.context, jobs=workers
+                self.config, context=self.synthesizer.context, jobs=self.workers
             )
             table_schema = tables[0]
             return {
@@ -391,23 +363,16 @@ class MigrationEngine:
                     _table_synthesis_task(spec, table_schema)
                 )
             }
-        workers = min(workers, len(tables)) or 1
         payloads = [
             (table_schema.name, _table_data_rows(spec, table_schema))
             for table_schema in tables
         ]
-        tree_bytes = pickle.dumps(spec.example_tree)
-        context_payload = None
-        context = self.synthesizer.context
-        if context.trees():
-            from ..synthesis.serialize import serialize_context
-
-            context_payload = serialize_context(context)
         results: Dict[str, SynthesisResult] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_synthesis_worker,
-            initargs=(tree_bytes, self.config, context_payload),
+        with synthesis_pool(
+            [spec.example_tree],
+            self.config,
+            self.synthesizer.context,
+            min(self.workers, len(tables)),
         ) as pool:
             for name, result in pool.map(_synthesize_table_worker, payloads):
                 results[name] = result

@@ -11,12 +11,9 @@ when given an output directory, lands them as:
   so the backend (and the tier-1 test suite) never depends on ``pyarrow``.
 
 File-backed runs **stream**: each sealed batch is appended to its table's
-file writer the moment it fills (``spill=True``, the default), so no table's
-full column set ever lives in memory — a sharded run's reducer output flows
-straight from ``insert_rows`` into the batch writers.  ``spill=False`` keeps
-the legacy materialize-at-finalize shape (all batches in memory, written in
-one pass through the *same* writers, so the bytes on disk are identical —
-only the peak memory differs).  Repeated text columns are
+file writer the moment it fills, so no table's full column set ever lives in
+memory — a sharded run's reducer output flows straight from ``insert_rows``
+into the batch writers.  Repeated text columns are
 **dictionary-encoded** (``dictionary="auto"``): a batch's text column whose
 distinct count is at most half its length is stored as a distinct-value list
 plus integer codes.
@@ -87,8 +84,8 @@ class _TableBuffer:
     """Accumulates one table's rows column-wise, sealing full batches.
 
     With an ``on_seal`` sink, sealed batches stream out immediately and are
-    **not** retained — the spill path; without one they accumulate in
-    ``batches`` — the in-memory / materialize path.
+    **not** retained — the file-backed path; without one they accumulate in
+    ``batches`` — the in-memory path.
     """
 
     def __init__(self, column_names: List[str], batch_size: int, on_seal=None) -> None:
@@ -163,9 +160,8 @@ def _decode_json_column(entry: Union[list, dict]) -> list:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming file writers — one per table; both the spill path and the
-# materialize-at-finalize path feed batches through these, so the bytes on
-# disk are identical regardless of when the batches are written.
+# Streaming file writers — one per table; a file-backed run feeds each
+# batch through its table's writer the moment the batch seals.
 # --------------------------------------------------------------------------- #
 
 
@@ -350,11 +346,6 @@ class ColumnarBackend(ExecutionBackend):
         ``"arrow"`` when pyarrow is importable and ``"json"`` otherwise.
         Asking for an Arrow-family format without pyarrow raises
         :class:`ColumnarBackendError` immediately (not at :meth:`finalize`).
-    spill:
-        File-backed runs only.  ``True`` (default) streams each sealed batch
-        to its file writer immediately — peak memory is one open batch per
-        table.  ``False`` materializes all batches in memory and writes them
-        at :meth:`finalize` through the same writers (identical bytes).
     dictionary:
         ``"auto"`` (default) dictionary-encodes a text-column batch when at
         most half its cells are distinct; ``True`` always, ``False`` never.
@@ -366,7 +357,6 @@ class ColumnarBackend(ExecutionBackend):
         *,
         batch_size: int = 8192,
         file_format: Optional[str] = None,
-        spill: bool = True,
         dictionary="auto",
     ) -> None:
         if file_format is not None and file_format not in FILE_FORMATS:
@@ -386,13 +376,11 @@ class ColumnarBackend(ExecutionBackend):
         self.directory = directory
         self.batch_size = max(1, batch_size)
         self.file_format = file_format or ("arrow" if HAVE_PYARROW else "json")
-        self.spill = bool(spill)
         self.dictionary = dictionary
         self.schema: Optional[DatabaseSchema] = None
         self._buffers: Dict[str, _TableBuffer] = {}
         self._writers: Dict[str, object] = {}
         self._written_paths: List[str] = []
-        self._streaming = False
         self._finalized = False
 
     # ------------------------------------------------------------ lifecycle
@@ -401,13 +389,12 @@ class ColumnarBackend(ExecutionBackend):
         self._finalized = False
         self._writers = {}
         self._written_paths = []
-        self._streaming = self.directory is not None and self.spill
         if self.directory is not None:
             os.makedirs(self.directory, exist_ok=True)
         self._buffers = {}
         for table in schema.tables:
             on_seal = None
-            if self._streaming:
+            if self.directory is not None:
                 writer = self._make_writer(table.name)
                 self._writers[table.name] = writer
                 on_seal = writer.write_batch
@@ -450,14 +437,6 @@ class ColumnarBackend(ExecutionBackend):
         for buffer in self._buffers.values():
             buffer.seal()
         if self.directory is not None:
-            if not self._streaming:
-                # Materialize mode: replay the retained batches through the
-                # same writers the spill path uses — identical file bytes.
-                for table_schema in self.schema.tables:
-                    writer = self._make_writer(table_schema.name)
-                    self._writers[table_schema.name] = writer
-                    for batch in self._buffers[table_schema.name].batches:
-                        writer.write_batch(batch)
             self._close_writers()
             self._write_manifest()
         self._finalized = True
@@ -520,26 +499,24 @@ class ColumnarBackend(ExecutionBackend):
     def batches(self, table: str) -> List[ColumnBatch]:
         """The sealed column batches of a table (complete after finalize).
 
-        In-memory and ``spill=False`` runs only: a spilling run streams its
-        batches to disk as they seal — read them back with
-        :func:`load_table_rows`.
+        In-memory runs only: a file-backed run streams its batches to disk
+        as they seal — read them back with :func:`load_table_rows`.
         """
-        if self._streaming:
+        if self.directory is not None:
             raise ColumnarBackendError(
-                "batches are streamed to disk when spill=True; "
+                "batches are streamed to disk in a file-backed run; "
                 "use load_table_rows(directory, table)"
             )
         return list(self._buffers[table].batches)
 
     def fetch_rows(self, table: str) -> List[Row]:
         buffer = self._buffers[table]
-        if self._streaming:
+        if self.directory is not None:
             if not self._finalized:
                 raise ColumnarBackendError(
-                    "rows are spilled to disk when spill=True; "
+                    "rows are spilled to disk in a file-backed run; "
                     "fetch_rows is available after finalize()"
                 )
-            assert self.directory is not None
             return load_table_rows(self.directory, table)
         rows: List[Row] = []
         for batch in buffer.batches:

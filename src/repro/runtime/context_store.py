@@ -56,6 +56,7 @@ from ..synthesis.serialize import (
     deserialize_context,
     serialize_context,
 )
+from .durable import write_durably
 from .plan import MigrationPlan
 from .plan_cache import DEFAULT_CACHE_DIR, spec_fingerprint
 from .spec_diff import SpecDiff, diff_specs
@@ -80,11 +81,7 @@ class SpecSnapshot:
 
 def _atomic_write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    temporary = f"{path}.tmp.{os.getpid()}"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
-    os.replace(temporary, path)
+    write_durably(path, lambda handle: handle.write(text + "\n"))
 
 
 class ContextStore:

@@ -21,6 +21,7 @@ from typing import Optional
 
 from ..dsl.serialize import schema_to_json
 from ..migration.engine import MigrationSpec
+from .durable import write_durably
 from .plan import MigrationPlan
 
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -88,9 +89,5 @@ class PlanCache:
         os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(fingerprint)
         plan.metadata.setdefault("spec_fingerprint", fingerprint)
-        # Write-then-rename so an interrupted store never leaves a truncated
-        # cache entry behind.
-        temporary = f"{path}.tmp.{os.getpid()}"
-        plan.save(temporary)
-        os.replace(temporary, path)
+        write_durably(path, lambda handle: handle.write(plan.dumps() + "\n"))
         return path

@@ -38,6 +38,7 @@ import json
 import os
 from typing import Dict, Optional
 
+from ..durable import write_durably
 from ..sharded import ShardError, _spill_path, validate_spill
 
 CHECKPOINT_MANIFEST_NAME = "checkpoint.json"
@@ -188,8 +189,5 @@ class ShardCheckpoint:
                     pass
 
     def _write(self) -> None:
-        temporary = f"{self.manifest_path}.tmp.{os.getpid()}"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(self._state, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temporary, self.manifest_path)
+        text = json.dumps(self._state, indent=2, sort_keys=True) + "\n"
+        write_durably(self.manifest_path, lambda handle: handle.write(text))

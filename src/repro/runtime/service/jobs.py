@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..durable import write_durably
+
 JOB_STATES = (
     "queued",
     "running",
@@ -202,12 +204,8 @@ class JobStore:
         return os.path.join(self.directory, f"{job_id}.json")
 
     def _write(self, job: Job) -> None:
-        path = self._path(job.id)
-        temporary = f"{path}.tmp.{os.getpid()}"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(job.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temporary, path)
+        text = json.dumps(job.to_json(), indent=2, sort_keys=True) + "\n"
+        write_durably(self._path(job.id), lambda handle: handle.write(text))
 
     def _load_all(self) -> None:
         for name in sorted(os.listdir(self.directory)):

@@ -250,22 +250,21 @@ def _xml_chunks(
     records: Iterable[Tuple[ET.Element, int]],
     head: Dict[str, Any],
     chunk_size: int,
-    coerce_numbers: bool,
     start: int = 0,
     stop: Optional[int] = None,
 ) -> Iterator[Chunk]:
     """Chunk an XML walk.  The root's attributes ride along in every chunk as
     leaf children, as in a whole-tree parse; root-level text in mixed
-    content is not reconstructed (it is not complete until the end)."""
+    content is not reconstructed (it is not complete until the end).  Numbers
+    are coerced as :func:`~repro.hdt.xml_plugin.xml_to_hdt` does by default."""
 
     def convert(record: Tuple[ET.Element, int]) -> Node:
         element, pos = record
-        return element_to_node(element, pos, coerce_numbers=coerce_numbers)
+        return element_to_node(element, pos)
 
     def root() -> Tuple[str, Extras]:
         return head["tag"], [
-            (name, 0, coerce_xml_scalar(value) if coerce_numbers else value)
-            for name, value in head["attrib"].items()
+            (name, 0, coerce_xml_scalar(value)) for name, value in head["attrib"].items()
         ]
 
     return _chunked(records, convert, chunk_size, start, stop, root)
@@ -275,7 +274,6 @@ def iter_xml_chunks(
     source: Union[str, IO],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     *,
-    coerce_numbers: bool = True,
     record_range: Optional[Tuple[int, Optional[int]]] = None,
 ) -> Iterator[Chunk]:
     """Incrementally parse an XML file into record chunks.
@@ -290,7 +288,7 @@ def iter_xml_chunks(
     start, stop = _window(record_range)
     blocks = _file_blocks(source) if isinstance(source, str) else _read_blocks(source)
     head: Dict[str, Any] = {}
-    return _xml_chunks(_xml_records(blocks, head), head, chunk_size, coerce_numbers, start, stop)
+    return _xml_chunks(_xml_records(blocks, head), head, chunk_size, start, stop)
 
 
 # --------------------------------------------------------------------------- #
@@ -468,9 +466,8 @@ class XMLSource(ShardSource):
     count no longer matches the index raises :class:`ShardError`.
     """
 
-    def __init__(self, path: str, *, coerce_numbers: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.coerce_numbers = coerce_numbers
         self._index: Optional[XMLRecordIndex] = None
 
     def record_index(self) -> XMLRecordIndex:
@@ -483,9 +480,7 @@ class XMLSource(ShardSource):
 
     def iter_chunks(self, start: int, stop: Optional[int], chunk_size: int) -> Iterator[Chunk]:
         if start == 0 and self._index is None:
-            return iter_xml_chunks(
-                self.path, chunk_size, coerce_numbers=self.coerce_numbers, record_range=(0, stop)
-            )
+            return iter_xml_chunks(self.path, chunk_size, record_range=(0, stop))
         index = self.record_index()
         stop = index.record_count if stop is None else min(stop, index.record_count)
         start = min(start, stop)
@@ -495,9 +490,7 @@ class XMLSource(ShardSource):
         records = _xml_records(
             _window_blocks(self.path, index, start, stop), head, Counter(index.tags[:start])
         )
-        return _xml_chunks(
-            _exactly(records, stop - start, self.path), head, chunk_size, self.coerce_numbers
-        )
+        return _xml_chunks(_exactly(records, stop - start, self.path), head, chunk_size)
 
 
 class JSONSource(ShardSource):

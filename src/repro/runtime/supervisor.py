@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .durable import write_durably
+
 __all__ = [
     "RetryPolicy",
     "ShardFailure",
@@ -218,12 +220,7 @@ class SupervisionOutcome:
 
 
 def _write_result(path: str, payload: Dict[str, Any]) -> None:
-    temp = path + ".tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    write_durably(path, lambda handle: json.dump(payload, handle))
 
 
 def _child_entry(

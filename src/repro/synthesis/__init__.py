@@ -31,7 +31,7 @@ from .serialize import (
 )
 from .set_cover import (
     CoverError,
-    branch_and_bound_cover_bits,
+    exact_cover_bits,
     greedy_cover_bits,
     ilp_cover_bits,
     minimum_cover_bits,
@@ -75,7 +75,7 @@ __all__ = [
     "minimize_bits",
     "prime_implicants_bits",
     "CoverError",
-    "branch_and_bound_cover_bits",
+    "exact_cover_bits",
     "greedy_cover_bits",
     "ilp_cover_bits",
     "minimum_cover_bits",

@@ -12,7 +12,7 @@ switches (the seed algorithms are test oracles in ``tests/reference/``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 from ..dsl.ast import Op
@@ -64,11 +64,8 @@ class SynthesisConfig:
 
     # --- solvers -------------------------------------------------------------
     cover_strategy: str = "auto"
-    """Minimum-cover strategy: 'auto', 'ilp', 'branch_and_bound' or 'greedy'."""
-
-    exact_cover_limit: int = 26
-    """Use exact branch-and-bound only when at most this many candidate predicates
-    survive pre-filtering (otherwise fall back to ILP/greedy)."""
+    """Minimum-cover strategy: 'auto' (the exact search, HiGHS when it runs
+    out of nodes), 'ilp' (HiGHS alone) or 'greedy' (approximate)."""
 
     # --- search control -------------------------------------------------------
     stop_after_first_solution: bool = False

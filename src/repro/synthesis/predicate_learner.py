@@ -248,7 +248,6 @@ def learn_predicate(
             pair_masks,
             pair_universe,
             strategy=config.cover_strategy,
-            exact_limit=config.exact_cover_limit,
             costs=polarity_costs,
         )
     except CoverError:

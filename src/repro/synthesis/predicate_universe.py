@@ -18,7 +18,7 @@ The universe is bounded by the knobs in :class:`SynthesisConfig`
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dsl.ast import (
     Child,
@@ -31,16 +31,16 @@ from ..dsl.ast import (
     Parent,
     Predicate,
 )
-from ..dsl.semantics import eval_column_on_tree, eval_node_extractor
 from ..hdt.node import Node, Scalar
 from ..hdt.tree import HDT
 from .config import DEFAULT_CONFIG, SynthesisConfig
+from .context import SynthesisContext
 
 
 def valid_node_extractors(
     column_nodes_per_example: Sequence[Sequence[Node]],
     config: SynthesisConfig = DEFAULT_CONFIG,
-    context=None,
+    context: Optional[SynthesisContext] = None,
 ) -> List[NodeExtractor]:
     """Compute the set χi of node extractors valid for one column.
 
@@ -48,11 +48,11 @@ def valid_node_extractors(
     every node extracted for this column, in every example, never yields ⊥.
     The search grows extractors breadth-first up to
     ``config.max_node_extractor_depth`` steps and is capped at
-    ``config.max_node_extractors_per_column`` results.  When a
-    :class:`~repro.synthesis.context.SynthesisContext` is provided, extractor
-    applications go through its shared ``(ϕ, node) → target`` memo.
+    ``config.max_node_extractors_per_column`` results.  Extractor
+    applications go through the context's shared ``(ϕ, node) → target`` memo
+    (a fresh context when none is passed).
     """
-    evaluate = context.target_of if context is not None else eval_node_extractor
+    evaluate = (context or SynthesisContext()).target_of
     all_nodes: List[Node] = [n for nodes in column_nodes_per_example for n in nodes]
     results: List[NodeExtractor] = [NodeVar()]
     frontier: List[NodeExtractor] = [NodeVar()]
@@ -97,7 +97,9 @@ def valid_node_extractors(
 
 
 def _dedupe_by_signature(
-    extractors: List[NodeExtractor], column_nodes: Sequence[Node], context=None
+    extractors: List[NodeExtractor],
+    column_nodes: Sequence[Node],
+    context: SynthesisContext,
 ) -> List[NodeExtractor]:
     """Collapse node extractors that land on identical targets for every column node.
 
@@ -107,7 +109,7 @@ def _dedupe_by_signature(
     substantially (distinct behaviours, not distinct syntax, are what matter
     for classification).
     """
-    evaluate = context.target_of if context is not None else eval_node_extractor
+    evaluate = context.target_of
     seen: Dict[Tuple, NodeExtractor] = {}
     order: List[NodeExtractor] = []
     for extractor in extractors:
@@ -126,16 +128,13 @@ def _dedupe_by_signature(
 
 
 def _collect_constants(
-    trees: Sequence[HDT], config: SynthesisConfig, context=None
+    trees: Sequence[HDT], config: SynthesisConfig, context: SynthesisContext
 ) -> List[Scalar]:
     """Constants from the input documents, capped at ``config.max_constants``."""
     seen: Set[Scalar] = set()
     constants: List[Scalar] = []
     for tree in trees:
-        tree_constants = (
-            context.facts(tree).constants if context is not None else tree.constants()
-        )
-        for value in tree_constants:
+        for value in context.facts(tree).constants:
             if value not in seen:
                 seen.add(value)
                 constants.append(value)
@@ -145,12 +144,11 @@ def _collect_constants(
 
 
 def _extractor_yields_leaves(
-    extractor: NodeExtractor, column_nodes: Sequence[Node], context=None
+    extractor: NodeExtractor, column_nodes: Sequence[Node], context: SynthesisContext
 ) -> bool:
     """True if the extractor lands on a leaf for every node of the column."""
-    evaluate = context.target_of if context is not None else eval_node_extractor
     for node in column_nodes:
-        target = evaluate(extractor, node)
+        target = context.target_of(extractor, node)
         if target is None or not target.is_leaf():
             return False
     return True
@@ -161,7 +159,7 @@ def construct_predicate_universe(
     column_extractors: Sequence[ColumnExtractor],
     config: SynthesisConfig = DEFAULT_CONFIG,
     *,
-    context=None,
+    context: Optional[SynthesisContext] = None,
 ) -> List[Predicate]:
     """Build the universe Φ of atomic predicates for a candidate table extractor.
 
@@ -172,11 +170,12 @@ def construct_predicate_universe(
     column_extractors:
         The column extractors π1..πk of the candidate table extractor ψ.
     context:
-        Optional :class:`~repro.synthesis.context.SynthesisContext`.  When
-        provided, the per-column valid-extractor sets χi and whole universes
-        are cached by the columns' *node-list signatures* and shared across
-        the candidate table extractors of a column, across output columns and
-        across the tables of a multi-table task: the universe is a pure
+        The :class:`~repro.synthesis.context.SynthesisContext` to cache in (a
+        fresh one when none is passed).  The per-column valid-extractor sets
+        χi and whole universes are cached by the columns' *node-list
+        signatures* and shared across the candidate table extractors of a
+        column, across output columns and across the tables of a
+        multi-table task: the universe is a pure
         function of which nodes each column extracts (predicates embed node
         extractors and column indices, never the column extractors
         themselves), so syntactically different candidates that land on the
@@ -188,49 +187,42 @@ def construct_predicate_universe(
     A deduplicated list of atomic predicates, bounded by
     ``config.max_predicate_universe``.
     """
+    context = context or SynthesisContext()
     arity = len(column_extractors)
-    columns_key = None
-    if context is not None:
-        trees_key = context.trees_key(trees)
-        sigs = tuple(
-            context.column_signature(extractor, trees)
-            for extractor in column_extractors
-        )
-        columns_key = (trees_key, sigs)
-        cached = context.universes.get(columns_key)
-        if cached is not None:
-            context.count("universe_hits")
-            return cached
-        context.count("universe_misses")
+    trees_key = context.trees_key(trees)
+    sigs = tuple(
+        context.column_signature(extractor, trees) for extractor in column_extractors
+    )
+    columns_key = (trees_key, sigs)
+    cached = context.universes.get(columns_key)
+    if cached is not None:
+        context.count("universe_hits")
+        return cached
+    context.count("universe_misses")
 
     # Nodes extracted per column per example (used for validity checks).
     per_column_nodes: List[List[Node]] = []
     per_column_nodes_by_example: List[List[List[Node]]] = []
     for extractor in column_extractors:
-        if context is not None:
-            per_example = [context.eval_column(extractor, tree) for tree in trees]
-        else:
-            per_example = [eval_column_on_tree(extractor, tree) for tree in trees]
+        per_example = [context.eval_column(extractor, tree) for tree in trees]
         per_column_nodes_by_example.append(per_example)
         per_column_nodes.append([n for nodes in per_example for n in nodes])
 
     chi: List[List[NodeExtractor]] = []
     for i in range(arity):
-        if context is not None:
-            chi_key = (trees_key, sigs[i])
-            hit = context.chi.get(chi_key)
-            if hit is not None:
-                context.count("chi_hits")
-                chi.append(hit)
-                continue
-            context.count("chi_misses")
+        chi_key = (trees_key, sigs[i])
+        hit = context.chi.get(chi_key)
+        if hit is not None:
+            context.count("chi_hits")
+            chi.append(hit)
+            continue
+        context.count("chi_misses")
         computed = _dedupe_by_signature(
             valid_node_extractors(per_column_nodes_by_example[i], config, context),
             per_column_nodes[i],
             context,
         )
-        if context is not None:
-            context.chi[chi_key] = computed
+        context.chi[chi_key] = computed
         chi.append(computed)
 
     constants = _collect_constants(trees, config, context)
@@ -278,6 +270,5 @@ def construct_predicate_universe(
                                 return
 
     build()
-    if context is not None:
-        context.universes[columns_key] = universe
+    context.universes[columns_key] = universe
     return universe

@@ -12,27 +12,26 @@ a 0-1 integer linear program which is exactly weighted set cover:
 The strategies are selected through
 :class:`~repro.synthesis.config.SynthesisConfig.cover_strategy`:
 
-* ``auto``              — exact branch and bound for small universes, the
-  large-instance exact search below for everything else (ILP as a safety
-  net when the search exhausts its node budget);
-* ``ilp``               — scipy's MILP solver (HiGHS) on the 0-1 formulation;
-* ``branch_and_bound``  — an exact, dependency-free solver with greedy
-  upper bounds and element-based branching (used for small universes);
-* ``greedy``            — the classic ln(n)-approximation, used as a fallback
-  for very large instances and by the ablation benchmarks.
+* ``auto``   — the exact search :func:`exact_cover_bits` on every instance,
+  with HiGHS as the safety net when the search exhausts its node budget;
+* ``ilp``    — scipy's MILP solver (HiGHS) on the 0-1 formulation;
+* ``greedy`` — the classic ln(n)-approximation, used by the ablation
+  benchmarks.
 
-The predicate learner's Table 1 tail is dominated by large cover instances
-(hundreds of predicates × tens of thousands of pairs) where HiGHS spends a
-minute proving what a four-set cover certificate shows in milliseconds:
-:func:`exact_cover_bits` runs the same deterministic branch-and-bound search
-as the small-instance solver but replaces the per-node python bit scans with
-a numpy-precomputed element order, which makes the exact answer affordable at
-bitmatrix scale.
+The exact search is a deterministic branch and bound: the greedy cover is
+the initial upper bound, each node pivots on the uncovered element contained
+in the fewest sets and branches over its containing sets in index order.
+Element containment counts are computed once with numpy, so a node costs a
+handful of wide integer operations instead of a python scan of the
+universe.  That keeps the exact answer affordable at bitmatrix scale
+(hundreds of predicates × tens of thousands of pairs), where HiGHS spends a
+minute proving what a four-set cover certificate shows in milliseconds.
 
 Set *k* is an integer mask whose bit *e* says "set *k* contains element *e*".
 All solvers return indices of the selected sets; :func:`minimum_cover_bits`
-dispatches on the strategy.  The seed's set-based solvers, which these match
-decision for decision, are test oracles in ``tests/reference/``.
+dispatches on the strategy.  The seed's set-based solvers, whose branch and
+bound this search matches decision for decision, are test oracles in
+``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ except Exception:  # pragma: no cover - environment without scipy
     _HAVE_SCIPY_MILP = False
 
 
-from .bitset import iter_bits, popcount
+from .bitset import popcount
 
 
 class CoverError(Exception):
@@ -88,77 +87,18 @@ def greedy_cover_bits(masks: Sequence[int], universe_mask: int) -> List[int]:
     return chosen
 
 
-def branch_and_bound_cover_bits(
-    masks: Sequence[int], universe_mask: int, *, max_nodes: int = 200_000
-) -> List[int]:
-    """Exact minimum cover by branch and bound.
-
-    Pivots on the uncovered element contained in the fewest sets (ties: the
-    smallest element, so the search order is well-defined) and branches over
-    its containing sets in index order.  The greedy solution is the initial
-    upper bound, and a simple lower bound (ceil of remaining / largest set)
-    prunes.  ``max_nodes`` caps the search; if exceeded, the best solution
-    found so far (at worst the greedy one) is returned, which keeps the
-    solver total.
-    """
-    _check_coverable_bits(masks, universe_mask)
-
-    best = greedy_cover_bits(masks, universe_mask)
-    best_size = len(best)
-
-    containing: Dict[int, List[int]] = {}
-    for idx, mask in enumerate(masks):
-        for element in iter_bits(mask & universe_mask):
-            containing.setdefault(element, []).append(idx)
-
-    max_set_size = max((popcount(m) for m in masks), default=1) or 1
-    nodes_visited = 0
-
-    def pivot_of(remaining: int) -> int:
-        # Ascending-bit scan with strict `<`: ties keep the smallest element.
-        best_element = -1
-        best_count = None
-        for element in iter_bits(remaining):
-            count = len(containing[element])
-            if best_count is None or count < best_count:
-                best_count = count
-                best_element = element
-                if count == 1:
-                    break
-        return best_element
-
-    def search(remaining: int, chosen: List[int]) -> None:
-        nonlocal best, best_size, nodes_visited
-        nodes_visited += 1
-        if nodes_visited > max_nodes:
-            return
-        if not remaining:
-            if len(chosen) < best_size:
-                best = list(chosen)
-                best_size = len(chosen)
-            return
-        if len(chosen) + -(-popcount(remaining) // max_set_size) >= best_size:
-            return
-        pivot = pivot_of(remaining)
-        for idx in containing[pivot]:
-            search(remaining & ~masks[idx], chosen + [idx])
-
-    search(universe_mask, [])
-    return best
-
-
 def ilp_cover_bits(masks: Sequence[int], universe_mask: int) -> List[int]:
     """Solve minimum cover as a 0-1 integer linear program (HiGHS).
 
     Row *r* of the constraint matrix is the *r*-th element of the universe in
     ascending order and column *k* is set *k*.  Without scipy, or if the
-    solver fails, the exact branch and bound answers instead.
+    solver fails, the exact search answers instead.
     """
     _check_coverable_bits(masks, universe_mask)
     if not universe_mask:
         return []
     if not _HAVE_SCIPY_MILP:  # pragma: no cover - environment without scipy
-        return branch_and_bound_cover_bits(masks, universe_mask)
+        return exact_cover_bits(masks, universe_mask)[0]
 
     width = universe_mask.bit_length()
     in_universe = _mask_to_bools_np(universe_mask, width)
@@ -180,15 +120,22 @@ def ilp_cover_bits(masks: Sequence[int], universe_mask: int) -> List[int]:
         bounds=None,
     )
     if not result.success or result.x is None:  # pragma: no cover - solver hiccup
-        return branch_and_bound_cover_bits(masks, universe_mask)
+        return exact_cover_bits(masks, universe_mask)[0]
     return [idx for idx, val in enumerate(result.x) if val > 0.5]
 
 
-#: Node budget for the large-instance exact search.  Real predicate-learning
-#: instances close in well under a thousand nodes (the greedy bound is tight
-#: and pivots are highly constrained); the budget only matters for
-#: adversarial inputs, where the ILP safety net takes over.
+#: Node budget for the exact search.  Real predicate-learning and
+#: Quine–McCluskey instances close in well under a thousand nodes (the greedy
+#: bound is tight and pivots are highly constrained); the budget only matters
+#: for adversarial inputs, where the ILP safety net takes over.
 EXACT_COVER_MAX_NODES = 50_000
+
+#: ``auto`` passes per-set costs to the exact search only on instances with
+#: more sets than this.  Below it the cost swaps would pick another of several
+#: equally-minimal covers on a few instances, and so change the learned
+#: programs of Table 1's ``xml_enrollment_2c_v3`` and ``json_enrollment_2c_v3``
+#: and the Mondial and Yelp plans, which ``tools/drift_audit.txt`` records.
+COST_SWAP_MIN_SETS = 26
 
 
 def _mask_to_bools_np(mask: int, width: int):
@@ -247,20 +194,16 @@ def exact_cover_bits(
     max_nodes: int = EXACT_COVER_MAX_NODES,
     costs: Optional[Sequence[int]] = None,
 ) -> "tuple[List[int], bool]":
-    """Exact minimum cover for large bitmask instances.
+    """Exact minimum cover by branch and bound.
 
-    Runs the identical search as :func:`branch_and_bound_cover_bits` — greedy
-    upper bound, pivot on the uncovered element contained in the fewest sets
-    (ties: smallest element), branch over its containing sets in index order,
-    prune with the ceiling lower bound — so on any instance both solvers
-    return the same cover.  The difference is purely mechanical: element
-    containment counts are computed once with numpy, pivots are found by
-    scanning a precomputed ``(count, element)`` order against a numpy view of
-    the uncovered set, and ``containing`` lists are materialized lazily for
-    the few elements that actually become pivots.  That turns the per-node
-    cost from O(|universe|) python bit iteration into a handful of wide
-    integer operations, which is what makes exact covers affordable at
-    bitmatrix scale (hundreds of sets × tens of thousands of elements).
+    Pivots on the uncovered element contained in the fewest sets (ties: the
+    smallest element, so the search order is well-defined) and branches over
+    its containing sets in index order.  The greedy solution is the initial
+    upper bound, and a simple lower bound (ceil of remaining / largest set)
+    prunes.  Element containment counts are computed once with numpy, pivots
+    are found by scanning a precomputed ``(count, element)`` order against a
+    numpy view of the uncovered set, and ``containing`` lists are
+    materialized lazily for the few elements that actually become pivots.
 
     Returns ``(cover, complete)``: ``complete`` is ``False`` when the node
     budget was exhausted before the search space closed, in which case
@@ -280,8 +223,7 @@ def exact_cover_bits(
     best = greedy_cover_bits(masks, universe_mask)
     best_size = len(best)
 
-    # Static per-element containment counts (the same quantity the small
-    # solver reads off its `containing` dict) and the induced pivot order.
+    # Static per-element containment counts and the induced pivot order.
     counts = np.zeros(width, dtype=np.int64)
     for mask in masks:
         counts += _mask_to_bools_np(mask & universe_mask, width)
@@ -334,29 +276,26 @@ def minimum_cover_bits(
     universe_mask: int,
     *,
     strategy: str = "auto",
-    exact_limit: int = 26,
     costs: Optional[Sequence[int]] = None,
 ) -> List[int]:
     """Select a minimum (or near-minimum) family of sets covering ``universe_mask``.
 
-    ``strategy`` is one of ``auto``, ``ilp``, ``branch_and_bound`` or
-    ``greedy``.  ``auto`` uses exact branch and bound for small instances and
-    the large-instance exact search otherwise, falling back to HiGHS when that
-    search exhausts its node budget; ``greedy`` is only approximate and exists
-    for ablations and as a last-resort fallback.
+    ``strategy`` is one of ``auto``, ``ilp`` or ``greedy``.  ``auto`` runs the
+    exact search and falls back to HiGHS when the search exhausts its node
+    budget; ``costs`` choose among equally-minimal covers on instances with
+    more than :data:`COST_SWAP_MIN_SETS` sets.  ``greedy`` is only
+    approximate and exists for ablations.
     """
     if not universe_mask:
         return []
     if strategy == "greedy":
         return greedy_cover_bits(masks, universe_mask)
-    if strategy == "branch_and_bound":
-        return branch_and_bound_cover_bits(masks, universe_mask)
     if strategy == "ilp":
         return ilp_cover_bits(masks, universe_mask)
     if strategy != "auto":
         raise ValueError(f"unknown cover strategy: {strategy!r}")
-    if len(masks) <= exact_limit:
-        return branch_and_bound_cover_bits(masks, universe_mask)
+    if len(masks) <= COST_SWAP_MIN_SETS:
+        costs = None
     cover, complete = exact_cover_bits(masks, universe_mask, costs=costs)
     if complete or not _HAVE_SCIPY_MILP:
         return cover

@@ -18,7 +18,11 @@ benchmark suite and evaluation harness build upon.
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -142,41 +146,65 @@ class SynthesisResult:
         return pretty_program(self.program)
 
 
-#: Per-process state of the candidate-ψ pool: each worker holds its own
-#: unpickled trees, a synthesizer seeded from the parent's serialized context,
-#: and the rebuilt predicate examples.
-_CANDIDATE_WORKER_STATE: Dict[str, object] = {}
+def resolve_jobs(jobs: int) -> int:
+    """The worker count for a ``jobs`` option: ``0`` means the CPU count."""
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (got {jobs})")
+    return jobs or (os.cpu_count() or 1)
 
 
-def _init_candidate_worker(
-    trees_bytes: bytes, rows_list, config: SynthesisConfig, context_payload
-) -> None:
-    """Initialize one candidate-stage worker process.
+#: Per-process state of a synthesis pool worker: its own unpickled example
+#: trees and one long-lived synthesizer seeded from the parent's context.
+_WORKER_STATE: Dict[str, object] = {}
 
-    The worker rehydrates the parent's context artifacts (χi sets, universes,
-    per-tree facts) against its own unpickled trees, so speculative candidates
-    start from the same caches the serial loop would have.
+
+def _init_worker(trees_bytes: bytes, config: SynthesisConfig, context_payload) -> None:
+    """Initialize one pool worker.
+
+    The worker rehydrates the parent's context artifacts (column results, χi
+    sets, universes, per-tree facts) against its own unpickled trees, so its
+    work starts from the caches the serial run would have.  Entries the
+    worker learns are not shipped back: the payloads would dwarf the results.
     """
-    import pickle
-
     trees = pickle.loads(trees_bytes)
-    context = SynthesisContext()
+    context = None
     if context_payload is not None:
         from .serialize import deserialize_context
 
         context = deserialize_context(context_payload, trees)
-    synthesizer = Synthesizer(config, context=context)
-    examples = [
-        (tree, [tuple(row) for row in rows]) for tree, rows in zip(trees, rows_list)
-    ]
-    _CANDIDATE_WORKER_STATE["synthesizer"] = synthesizer
-    _CANDIDATE_WORKER_STATE["examples"] = examples
+    _WORKER_STATE["trees"] = trees
+    _WORKER_STATE["synthesizer"] = Synthesizer(config, context=context)
 
 
-def _evaluate_candidate_worker(columns):
+def synthesis_pool(
+    trees: Sequence[HDT], config: SynthesisConfig, context: SynthesisContext, workers: int
+) -> ProcessPoolExecutor:
+    """A process pool whose workers each hold ``trees`` and a synthesizer seeded
+    from ``context``; entry points read them back with :func:`worker_state`.
+
+    Both ``jobs`` paths use it: the candidate-ψ stage of one task
+    (:class:`Synthesizer`) and the per-table stage of a migration
+    (:class:`~repro.migration.engine.MigrationEngine`).
+    """
+    from .serialize import serialize_context
+
+    context_payload = serialize_context(context) if context.trees() else None
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(pickle.dumps(list(trees)), config, context_payload),
+    )
+
+
+def worker_state() -> Tuple["Synthesizer", List[HDT]]:
+    """The synthesizer and trees of the current pool worker."""
+    return _WORKER_STATE["synthesizer"], _WORKER_STATE["trees"]  # type: ignore[return-value]
+
+
+def _evaluate_candidate_worker(columns, rows_list):
     """Pool entry point: evaluate one candidate ψ, return its verdict."""
-    synthesizer: Synthesizer = _CANDIDATE_WORKER_STATE["synthesizer"]  # type: ignore[assignment]
-    examples = _CANDIDATE_WORKER_STATE["examples"]
+    synthesizer, trees = worker_state()
+    examples = list(zip(trees, rows_list))
     return synthesizer._evaluate_candidate(TableExtractor(tuple(columns)), examples)
 
 
@@ -208,10 +236,8 @@ class Synthesizer:
         *,
         jobs: int = 1,
     ) -> None:
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (got {jobs})")
         self.config = config
-        self.jobs = jobs
+        self.workers = resolve_jobs(jobs)
         self.context = context if context is not None else SynthesisContext()
         self.context.bind_config(config)
 
@@ -268,11 +294,8 @@ class Synthesizer:
         stream_state = {"timed_out": False}
         stream = self._candidate_stream(column_candidates, task, start, stream_state)
 
-        import os
-
-        workers = self.jobs if self.jobs else (os.cpu_count() or 1)
-        if workers > 1:
-            results = self._parallel_results(stream, predicate_examples, workers)
+        if self.workers > 1:
+            results = self._parallel_results(stream, predicate_examples)
         else:
             results = (
                 (te, self._evaluate_candidate(te, predicate_examples)) for te in stream
@@ -408,35 +431,22 @@ class Synthesizer:
             return ("reject", None, stats)
         return ("ok", predicate, stats)
 
-    def _parallel_results(self, stream, predicate_examples, workers: int):
+    def _parallel_results(self, stream, predicate_examples):
         """Evaluate streamed candidates speculatively on a process pool.
 
         Futures are submitted in enumeration order and yielded in the same
         order, keeping a window of ``2 × workers`` in flight; the replay loop
         consuming this generator therefore sees exactly the sequence the
         serial path would have produced.  Workers are seeded with the
-        parent's serialized context (PR 4's wire format), so χi sets and
+        parent's serialized context (:func:`synthesis_pool`), so χi sets and
         universes learned before the fan-out are shared; work left in the
         window when a stop condition fires is cancelled on close.
         """
-        import pickle
-        from collections import deque
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .serialize import serialize_context
-
+        workers = self.workers
         trees = [tree for tree, _ in predicate_examples]
         rows_list = [list(rows) for _, rows in predicate_examples]
-        context_payload = (
-            serialize_context(self.context) if self.context.trees() else None
-        )
-        trees_bytes = pickle.dumps(trees)
         window = max(2 * workers, workers + 1)
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_candidate_worker,
-            initargs=(trees_bytes, rows_list, self.config, context_payload),
-        )
+        pool = synthesis_pool(trees, self.config, self.context, workers)
         pending = deque()
         try:
             exhausted = False
@@ -450,7 +460,9 @@ class Synthesizer:
                         (
                             table_extractor,
                             pool.submit(
-                                _evaluate_candidate_worker, table_extractor.columns
+                                _evaluate_candidate_worker,
+                                table_extractor.columns,
+                                rows_list,
                             ),
                         )
                     )

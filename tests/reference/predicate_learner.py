@@ -151,7 +151,6 @@ def _learn_predicate_seed(
             cover_sets,
             universe_pairs,
             strategy=config.cover_strategy,
-            exact_limit=config.exact_cover_limit,
             costs=polarity_costs,
         )
     except CoverError:

@@ -16,11 +16,11 @@ from repro.hdt import build_tree
 from repro.synthesis import (
     SynthesisConfig,
     SynthesisContext,
-    branch_and_bound_cover_bits,
     build_predicate_masks,
     classify_tuples_fast,
     construct_predicate_universe,
     distinguishing_pairs_mask,
+    exact_cover_bits,
     greedy_cover_bits,
     ilp_cover_bits,
     minimize_bits,
@@ -87,17 +87,16 @@ def test_cover_solvers_randomized_parity():
         masks = [mask_from_indices(s) for s in sets]
         universe_mask = mask_from_indices(universe)
         assert greedy_cover(sets, universe) == greedy_cover_bits(masks, universe_mask)
-        assert branch_and_bound_cover(sets, universe) == branch_and_bound_cover_bits(
-            masks, universe_mask
-        )
-        for strategy in ("auto", "greedy", "branch_and_bound"):
+        exact = branch_and_bound_cover(sets, universe)
+        assert exact_cover_bits(masks, universe_mask) == (exact, True)
+        for strategy in ("auto", "greedy"):
             assert minimum_cover(sets, universe, strategy=strategy) == minimum_cover_bits(
                 masks, universe_mask, strategy=strategy
             )
         ilp = ilp_cover_bits(masks, universe_mask)
         assert sorted(ilp_cover(sets, universe)) == sorted(ilp)
         # The one ILP is optimal: the exact search's cover size.
-        assert len(ilp) == len(branch_and_bound_cover_bits(masks, universe_mask))
+        assert len(ilp) == len(exact)
 
 
 def test_cover_bits_uncoverable_raises():

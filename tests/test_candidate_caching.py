@@ -37,8 +37,8 @@ from repro.hdt import build_tree
 from repro.synthesis import SynthesisConfig, SynthesisContext, synthesize
 from repro.synthesis.predicate_matrix import build_predicate_masks
 from repro.synthesis.serialize import deserialize_context, serialize_context
+from repro.synthesis.bitset import iter_bits
 from repro.synthesis.set_cover import (
-    branch_and_bound_cover_bits,
     exact_cover_bits,
     greedy_cover_bits,
     minimum_cover_bits,
@@ -48,7 +48,7 @@ from repro.synthesis.synthesizer import (
     SynthesisTask,
     Synthesizer,
 )
-from tests.reference.set_cover import minimum_cover
+from tests.reference.set_cover import branch_and_bound_cover, minimum_cover
 from tests.reference.synthesizer import use_reference_engine
 
 FAST = SynthesisConfig.fast()
@@ -218,12 +218,19 @@ def _random_cover_instance(rnd):
     return masks, universe
 
 
+def _oracle_cover(masks, universe):
+    """The set-based branch and bound of ``tests/reference/`` on a bitmask instance."""
+    return branch_and_bound_cover(
+        [set(iter_bits(mask)) for mask in masks], set(iter_bits(universe))
+    )
+
+
 def test_exact_cover_matches_branch_and_bound_on_random_instances():
     """The numpy-accelerated search makes the identical decisions."""
     rnd = random.Random(88)
     for trial in range(60):
         masks, universe = _random_cover_instance(rnd)
-        reference = branch_and_bound_cover_bits(masks, universe)
+        reference = _oracle_cover(masks, universe)
         cover, complete = exact_cover_bits(masks, universe)
         assert complete, trial
         assert cover == reference, trial
@@ -242,14 +249,14 @@ def test_exact_cover_budget_exhaustion_returns_valid_cover():
 
 
 def test_auto_dispatch_uses_exact_search_above_the_small_limit():
-    """> exact_limit sets: auto must still return a provably minimal cover."""
+    """> 26 sets, where ``auto`` may apply costs: still a minimal cover."""
     rnd = random.Random(4242)
     for _ in range(10):
         masks, universe = _random_cover_instance(rnd)
         if len(masks) <= 26:
             masks = masks * (26 // len(masks) + 1)  # force the large path
         auto = minimum_cover_bits(masks, universe, strategy="auto")
-        reference = branch_and_bound_cover_bits(masks, universe)
+        reference = _oracle_cover(masks, universe)
         assert len(auto) == len(reference)
         covered = 0
         for idx in auto:

@@ -136,35 +136,21 @@ def test_arrow_family_roundtrip(tmp_path, fmt):  # pragma: no cover - needs pyar
 
 
 # --------------------------------------------------------------------------- #
-# Streamed batches (spill=True) vs materialize-at-finalize (spill=False)
+# File-backed runs stream sealed batches out of memory
 # --------------------------------------------------------------------------- #
 
 
-def _write_rows(directory, rows, *, spill, batch_size=4, dictionary="auto"):
+def _write_rows(directory, rows, *, batch_size=4, dictionary="auto"):
     backend = ColumnarBackend(
         str(directory),
         batch_size=batch_size,
         file_format="json",
-        spill=spill,
         dictionary=dictionary,
     )
     backend.begin(_simple_schema())
     backend.insert_rows("t", rows)
     backend.finalize()
     return backend
-
-
-def test_spill_and_materialize_bytes_identical(tmp_path):
-    # Both modes route batches through the same writers, so the files (and
-    # the manifest) are byte-for-byte identical — only peak memory differs.
-    rows = [("v%d" % (i % 2), i) for i in range(11)]
-    _write_rows(tmp_path / "spill", rows, spill=True)
-    _write_rows(tmp_path / "mat", rows, spill=False)
-    for name in ("t.columns.json", MANIFEST_NAME):
-        spilled = (tmp_path / "spill" / name).read_bytes()
-        materialized = (tmp_path / "mat" / name).read_bytes()
-        assert spilled == materialized
-    assert load_table_rows(str(tmp_path / "spill"), "t") == rows
 
 
 def test_spill_streams_sealed_batches_out_of_memory(tmp_path):
@@ -202,7 +188,7 @@ def test_dictionary_roundtrip_identical_across_modes(tmp_path):
     decoded = {}
     for label, dictionary in (("on", True), ("off", False), ("auto", "auto")):
         directory = tmp_path / label
-        _write_rows(directory, rows, spill=True, dictionary=dictionary)
+        _write_rows(directory, rows, dictionary=dictionary)
         decoded[label] = load_table_rows(str(directory), "t")
     assert decoded["on"] == decoded["off"] == decoded["auto"] == rows
     # dictionary=True stores codes; dictionary=False stores plain lists.
@@ -247,7 +233,7 @@ def test_abort_removes_partial_files(tmp_path):
 
 def test_close_after_finalize_keeps_output(tmp_path):
     out = tmp_path / "out"
-    backend = _write_rows(out, [("a", 1)], spill=True)
+    backend = _write_rows(out, [("a", 1)])
     backend.close()
     assert load_table_rows(str(out), "t") == [("a", 1)]
 

@@ -38,8 +38,9 @@ from repro.optimizer.optimize import DATA, IDENTITY, IGNORED
 from repro.dsl.semantics import eval_column_on_tree, eval_predicate, eval_table, run_program_nodes
 from repro.synthesis.bitset import mask_from_indices
 from repro.synthesis.qm import minimize_bits
-from repro.synthesis.set_cover import branch_and_bound_cover_bits, greedy_cover_bits, ilp_cover_bits
+from repro.synthesis.set_cover import greedy_cover_bits, ilp_cover_bits, minimum_cover_bits
 from tests.reference.qm import evaluate_dnf, minterm_to_bits
+from tests.reference.set_cover import branch_and_bound_cover
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -518,13 +519,17 @@ def test_qm_minimization_is_correct(num_vars, data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_set_cover_solvers_agree_on_validity_and_optimality(data):
-    num_elements = data.draw(st.integers(min_value=1, max_value=6))
+    """Instances of 1-40 sets, on both sides of the 26 sets above which
+    ``auto`` applies costs: every cover is valid, the exact ones have the
+    oracle's size, and without costs ``auto`` is the oracle's cover."""
+    num_elements = data.draw(st.integers(min_value=1, max_value=8))
+    num_sets = data.draw(st.integers(min_value=1, max_value=40))
     universe = set(range(num_elements))
     sets = data.draw(
         st.lists(
             st.sets(st.integers(0, num_elements - 1), min_size=1, max_size=num_elements),
-            min_size=1,
-            max_size=6,
+            min_size=num_sets,
+            max_size=num_sets,
         )
     )
     covered = set().union(*sets)
@@ -534,11 +539,17 @@ def test_set_cover_solvers_agree_on_validity_and_optimality(data):
         return
     masks = [mask_from_indices(s) for s in sets]
     universe_mask = mask_from_indices(universe)
-    exact = branch_and_bound_cover_bits(masks, universe_mask)
+    exact = branch_and_bound_cover(sets, universe)
+    auto = minimum_cover_bits(masks, universe_mask, strategy="auto")
+    costs = [len(s) % 3 for s in sets]
+    auto_with_costs = minimum_cover_bits(masks, universe_mask, strategy="auto", costs=costs)
     ilp = ilp_cover_bits(masks, universe_mask)
     greedy = greedy_cover_bits(masks, universe_mask)
-    for solution in (exact, ilp, greedy):
+    for solution in (exact, auto, auto_with_costs, ilp, greedy):
         chosen = set().union(*(sets[i] for i in solution)) if solution else set()
         assert universe.issubset(chosen)
-    assert len(exact) == len(ilp)
+    assert len(exact) == len(auto) == len(auto_with_costs) == len(ilp)
+    assert auto == exact
+    if num_sets <= 26:
+        assert auto_with_costs == exact
     assert len(greedy) >= len(exact)

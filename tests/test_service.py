@@ -20,6 +20,7 @@ import pytest
 from repro.datasets import dblp
 from repro.relational import ColumnDef, DatabaseSchema, ForeignKey, TableSchema
 from repro.runtime.cli import main as cli_main
+from repro.runtime.durable import write_durably
 from repro.runtime.service import (
     CHECKPOINT_MANIFEST_NAME,
     JobRunner,
@@ -75,6 +76,43 @@ def test_job_store_ids_survive_restarts(tmp_path):
 # --------------------------------------------------------------------------- #
 # Checkpoint manifest semantics (resume paths are covered in test_sharded)
 # --------------------------------------------------------------------------- #
+
+
+def test_write_durably_keeps_the_old_file_when_the_serializer_raises(tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text("old\n")
+
+    def failing(handle):
+        handle.write("half a rec")
+        raise RuntimeError("serializer failed")
+
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write_durably(str(path), failing)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["record.json"]  # no temporary file left
+
+
+def test_write_durably_syncs_before_it_replaces(tmp_path, monkeypatch):
+    import repro.runtime.durable as durable
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync")
+        real_fsync(fd)
+
+    def replace(source, target):
+        calls.append("replace")
+        real_replace(source, target)
+
+    monkeypatch.setattr(durable.os, "fsync", fsync)
+    monkeypatch.setattr(durable.os, "replace", replace)
+    path = tmp_path / "record.json"
+    write_durably(str(path), lambda handle: handle.write("new\n"))
+    assert calls == ["fsync", "replace"]
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["record.json"]
 
 
 def test_checkpoint_fresh_begin_clears_leftover_spills(tmp_path):
