@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..hdt.node import Scalar
 from ..hdt.tree import HDT, build_tree
 from ..hdt.json_plugin import json_to_hdt
-from ..hdt.xml_plugin import xml_to_hdt
 from ..datasets.base import rng
 
 Row = Tuple[Scalar, ...]

@@ -6,29 +6,20 @@ with the examples, prefer the one with
 1. the fewest *atomic predicates* in the row filter, then
 2. the fewest constructs in the column extractors.
 
-We extend the tuple with two deterministic tie-breakers (total predicate AST
-size and the pretty-printed text) so that synthesis results are reproducible
-run-to-run, which the evaluation harness relies on.
+We extend the tuple with two deterministic tie-breakers (the number of
+boolean connectives in the row filter and the pretty-printed text) so that
+synthesis results are reproducible run-to-run, which the evaluation harness
+relies on.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .ast import ColumnExtractor, Predicate, Program
+from .ast import And, Not, Or, Predicate, Program
 from .pretty import pretty_program
 
 CostTuple = Tuple[int, int, int, str]
-
-
-def predicate_cost(predicate: Predicate) -> int:
-    """Number of atomic predicates in a formula."""
-    return predicate.size()
-
-
-def extractor_cost(extractor: ColumnExtractor) -> int:
-    """Number of constructs in a column extractor."""
-    return extractor.size()
 
 
 def program_cost(program: Program) -> CostTuple:
@@ -36,19 +27,18 @@ def program_cost(program: Program) -> CostTuple:
     return (
         program.num_atomic_predicates(),
         program.num_extractor_constructs(),
-        _predicate_depth(program.predicate),
+        _connective_count(program.predicate),
         pretty_program(program),
     )
 
 
-def _predicate_depth(predicate: Predicate) -> int:
-    """Total number of boolean connectives, a secondary simplicity signal."""
-    from .ast import And, Not, Or
-
-    if isinstance(predicate, And) or isinstance(predicate, Or):
-        return 1 + _predicate_depth(predicate.left) + _predicate_depth(predicate.right)
+def _connective_count(predicate: Predicate) -> int:
+    """Number of boolean connectives (``and``, ``or``, ``not``), a secondary
+    simplicity signal."""
+    if isinstance(predicate, (And, Or)):
+        return 1 + _connective_count(predicate.left) + _connective_count(predicate.right)
     if isinstance(predicate, Not):
-        return 1 + _predicate_depth(predicate.operand)
+        return 1 + _connective_count(predicate.operand)
     return 0
 
 

@@ -63,7 +63,7 @@ def create_backend(name: str, output: Optional[str] = None, **options) -> Execut
     directory; it must be ``None`` for the memory backend (which produces no
     artifact) and is required for sqlite and duckdb.  Extra keyword
     ``options`` pass through to the backend constructor (``batch_size``,
-    ``file_format``, ``spill``, ``dictionary``, ``apply_indexes``, ...).
+    ``file_format``, ``spill``, ``apply_indexes``, ...).
     """
     if name not in BACKEND_NAMES:
         raise ValueError(

@@ -14,9 +14,9 @@ File-backed runs **stream**: each sealed batch is appended to its table's
 file writer the moment it fills, so no table's full column set ever lives in
 memory — a sharded run's reducer output flows straight from ``insert_rows``
 into the batch writers.  Repeated text columns are
-**dictionary-encoded** (``dictionary="auto"``): a batch's text column whose
-distinct count is at most half its length is stored as a distinct-value list
-plus integer codes.
+**dictionary-encoded**: a JSON-columns batch's text column whose distinct
+count is at most half its length is stored as a distinct-value list plus
+integer codes; Arrow and Parquet files dictionary-encode every text column.
 
 Either way a ``manifest.json`` records the format, per-table files, row
 counts and column names; :func:`load_table_rows` reads any of the three
@@ -54,10 +54,6 @@ HAVE_PYARROW = _pa is not None
 
 #: File formats the backend can land; ``arrow`` and ``parquet`` need pyarrow.
 FILE_FORMATS = ("arrow", "parquet", "json")
-
-#: Valid ``dictionary=`` settings: encode always, never, or when a batch's
-#: text column repeats enough to pay for itself.
-DICTIONARY_MODES = ("auto", True, False)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -122,18 +118,11 @@ class _TableBuffer:
 # --------------------------------------------------------------------------- #
 
 
-def _should_dict_encode(cells: list, mode) -> bool:
-    """Encode a text-column batch as dictionary+codes under this mode?
-
-    ``auto`` pays for itself when at most half the cells are distinct (a
-    single-distinct-value column always encodes); ``True`` forces encoding;
-    ``False`` never encodes.
-    """
-    if mode is False or not cells:
-        return False
-    if mode is True:
-        return True
-    return len(set(cells)) <= max(1, len(cells) // 2)
+def _should_dict_encode(cells: list) -> bool:
+    """Encode a text-column batch as dictionary+codes?  It pays for itself
+    when at most half the cells are distinct (a single-distinct-value column
+    always encodes)."""
+    return bool(cells) and len(set(cells)) <= max(1, len(cells) // 2)
 
 
 def _dict_encode_column(cells: list) -> Dict[str, list]:
@@ -168,10 +157,9 @@ def _decode_json_column(entry: Union[list, dict]) -> list:
 class _JsonColumnsWriter:
     """Incremental JSON-columns writer: batches append as they seal."""
 
-    def __init__(self, path: str, table_schema: TableSchema, dictionary) -> None:
+    def __init__(self, path: str, table_schema: TableSchema) -> None:
         self.path = path
         self.rows_written = 0
-        self._dictionary = dictionary
         self._text = [column.dtype == "text" for column in table_schema.columns]
         self._first = True
         self._handle = open(path, "w", encoding="utf-8")
@@ -183,7 +171,7 @@ class _JsonColumnsWriter:
     def write_batch(self, batch: ColumnBatch) -> None:
         encoded = []
         for is_text, cells in zip(self._text, batch.columns):
-            if is_text and _should_dict_encode(cells, self._dictionary):
+            if is_text and _should_dict_encode(cells):
                 encoded.append(_dict_encode_column(cells))
             else:
                 encoded.append(cells)
@@ -213,19 +201,16 @@ class _ArrowIpcWriter:  # pragma: no cover - needs pyarrow
     dictionary per field.
     """
 
-    def __init__(
-        self, path: str, table: str, table_schema: TableSchema, batch_size: int, dictionary
-    ) -> None:
+    def __init__(self, path: str, table: str, table_schema: TableSchema) -> None:
         assert _pa is not None
         self.path = path
         self.table = table
         self.rows_written = 0
-        self._encode = dictionary is not False
         type_map = {"text": _pa.string(), "integer": _pa.int64(), "real": _pa.float64()}
         fields = []
         for column in table_schema.columns:
             dtype = type_map[column.dtype]
-            if self._encode and column.dtype == "text":
+            if column.dtype == "text":
                 dtype = _pa.dictionary(_pa.int32(), _pa.string())
             fields.append(_pa.field(column.name, dtype, nullable=True))
         self._schema = _pa.schema(fields)
@@ -238,7 +223,7 @@ class _ArrowIpcWriter:  # pragma: no cover - needs pyarrow
         self._writer = _pa.ipc.new_file(self._sink, self._schema, options=options)
 
     def _array(self, index: int, cells: list):
-        if self._encode and self._is_text[index]:
+        if self._is_text[index]:
             values = self._dict_values.setdefault(index, [])
             codes_for = self._dict_index.setdefault(index, {})
             codes: List[Optional[int]] = []
@@ -287,9 +272,7 @@ class _ArrowIpcWriter:  # pragma: no cover - needs pyarrow
 class _ParquetWriter:  # pragma: no cover - needs pyarrow
     """Parquet writer: one row group per sealed batch, native dictionary pages."""
 
-    def __init__(
-        self, path: str, table: str, table_schema: TableSchema, dictionary
-    ) -> None:
+    def __init__(self, path: str, table: str, table_schema: TableSchema) -> None:
         assert _pa is not None
         import pyarrow.parquet as pq
 
@@ -303,8 +286,7 @@ class _ParquetWriter:  # pragma: no cover - needs pyarrow
         )
         self._types = [type_map[c.dtype] for c in table_schema.columns]
         text_columns = [c.name for c in table_schema.columns if c.dtype == "text"]
-        use_dictionary = text_columns if dictionary is not False else False
-        self._writer = pq.ParquetWriter(path, self._schema, use_dictionary=use_dictionary)
+        self._writer = pq.ParquetWriter(path, self._schema, use_dictionary=text_columns)
 
     def write_batch(self, batch: ColumnBatch) -> None:
         arrays = []
@@ -346,9 +328,6 @@ class ColumnarBackend(ExecutionBackend):
         ``"arrow"`` when pyarrow is importable and ``"json"`` otherwise.
         Asking for an Arrow-family format without pyarrow raises
         :class:`ColumnarBackendError` immediately (not at :meth:`finalize`).
-    dictionary:
-        ``"auto"`` (default) dictionary-encodes a text-column batch when at
-        most half its cells are distinct; ``True`` always, ``False`` never.
     """
 
     def __init__(
@@ -357,7 +336,6 @@ class ColumnarBackend(ExecutionBackend):
         *,
         batch_size: int = 8192,
         file_format: Optional[str] = None,
-        dictionary="auto",
     ) -> None:
         if file_format is not None and file_format not in FILE_FORMATS:
             raise ColumnarBackendError(
@@ -369,14 +347,9 @@ class ColumnarBackend(ExecutionBackend):
                 f"(pip install repro[columnar]); use file_format='json' for "
                 f"the pure-python fallback"
             )
-        if dictionary not in DICTIONARY_MODES:
-            raise ColumnarBackendError(
-                f"dictionary must be one of {DICTIONARY_MODES!r}, got {dictionary!r}"
-            )
         self.directory = directory
         self.batch_size = max(1, batch_size)
         self.file_format = file_format or ("arrow" if HAVE_PYARROW else "json")
-        self.dictionary = dictionary
         self.schema: Optional[DatabaseSchema] = None
         self._buffers: Dict[str, _TableBuffer] = {}
         self._writers: Dict[str, object] = {}
@@ -408,13 +381,11 @@ class ColumnarBackend(ExecutionBackend):
         table_schema = self.schema.table(table)
         try:
             if self.file_format == "json":
-                writer = _JsonColumnsWriter(path, table_schema, self.dictionary)
+                writer = _JsonColumnsWriter(path, table_schema)
             elif self.file_format == "parquet":  # pragma: no cover - needs pyarrow
-                writer = _ParquetWriter(path, table, table_schema, self.dictionary)
+                writer = _ParquetWriter(path, table, table_schema)
             else:  # pragma: no cover - needs pyarrow
-                writer = _ArrowIpcWriter(
-                    path, table, table_schema, self.batch_size, self.dictionary
-                )
+                writer = _ArrowIpcWriter(path, table, table_schema)
         except ColumnarBackendError:
             raise
         except Exception as error:

@@ -29,22 +29,22 @@ Merging handles everything else:
   referencing ones).
 
 **What a record is** — one direct child of the document root — is decided
-in this module and nowhere else, once per format:
+once per format by the reader that builds it:
 
-* XML: :func:`_xml_records`, one pull-parser walk over byte blocks (a whole
-  file, or a window spliced from the byte-offset index of
-  :func:`~repro.hdt.xml_plugin.build_xml_record_index`, which finds record
-  boundaries by the same depth-one rule); peak memory is one chunk;
+* XML: :func:`~repro.hdt.xml_plugin.iter_xml_records`, the one XML reader,
+  over a whole file or over a window spliced from the byte-offset index of
+  :func:`~repro.hdt.xml_plugin.build_xml_record_index`; peak memory is one
+  chunk;
 * JSON: :func:`_iter_json_records` — a top-level array's elements, or a
   top-level object's pairs with array values flattened (the stdlib has no
   incremental JSON parser, so the decoded value is materialized once);
 * an HDT: its root's children, cloned.
 
-:func:`_chunked` batches any of them into :class:`Chunk`\\ s, converting
-only the records in a ``[start, stop)`` window.  The public iterators
-(:func:`iter_xml_chunks`, :func:`iter_json_chunks`, :func:`iter_tree_chunks`)
-and the :class:`ShardSource` classes (:func:`shard_source`) are thin
-wrappers over those two pieces.
+This module only batches: :func:`_chunked` groups a reader's record nodes
+into :class:`Chunk`\\ s.  The public iterators (:func:`iter_xml_chunks`,
+:func:`iter_json_chunks`, :func:`iter_tree_chunks`) and the
+:class:`ShardSource` classes (:func:`shard_source`) are thin wrappers over
+those two pieces.
 
 :func:`stream_execute` is serial: one process parses, executes and merges
 chunk after chunk.  Parallel execution over the same sources is
@@ -55,10 +55,9 @@ from __future__ import annotations
 
 import json
 import os
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from typing import (
     IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -66,17 +65,13 @@ from typing import (
 from ..hdt.json_plugin import ITEM_TAG, ROOT_TAG, json_value_to_node
 from ..hdt.node import Node, Scalar
 from ..hdt.tree import HDT
-from ..hdt.xml_plugin import _coerce as coerce_xml_scalar
-from ..hdt.xml_plugin import XMLRecordIndex, build_xml_record_index, element_to_node
+from ..hdt.xml_plugin import (
+    XMLRecordIndex, build_xml_record_index, iter_xml_records, read_blocks,
+)
 from .executor import ExecutionBackend, ExecutionReport, run_serial
 from .plan import MigrationPlan
 
 DEFAULT_CHUNK_SIZE = 1000
-
-#: Bytes per read of the XML walk: ``iterparse``'s own read size.  A larger
-#: block queues more parsed-but-unconsumed elements per feed, which measured
-#: slower (64 KiB: about 20 % on a 6.3 MB DBLP file).
-_BLOCK_SIZE = 16 * 1024
 
 Extras = Sequence[Tuple[str, int, Scalar]]
 
@@ -112,35 +107,23 @@ def _window(record_range: Optional[Tuple[int, Optional[int]]]) -> Tuple[int, Opt
 
 
 def _chunked(
-    records: Iterable[Any],
-    convert: Callable[[Any], Node],
+    records: Iterable[Node],
     chunk_size: int,
-    start: int = 0,
-    stop: Optional[int] = None,
     root: Callable[[], Tuple[str, Extras]] = lambda: (ROOT_TAG, ()),
 ) -> Iterator[Chunk]:
-    """Batch raw ``records`` (document order) into chunks of converted ones.
-
-    Only records with sequence numbers in ``[start, stop)`` reach
-    ``convert``; earlier ones are read past unconverted, and reading ends at
-    ``stop``.  ``root()`` gives each chunk's root tag and the leaf
-    ``(tag, pos, data)`` extras replicated into every chunk.
-    """
+    """Batch record nodes (document order) into chunks.  ``root()`` gives
+    each chunk's root tag and the leaf ``(tag, pos, data)`` extras replicated
+    into every chunk."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    if stop is not None and stop <= start:
-        return
     batch: List[Node] = []
     index = 0
-    for sequence, record in enumerate(records):
-        if sequence >= start:
-            batch.append(convert(record))
-            if len(batch) == chunk_size:
-                yield _make_chunk(batch, index, *root())
-                batch = []
-                index += 1
-        if stop is not None and sequence + 1 >= stop:
-            break
+    for record in records:
+        batch.append(record)
+        if len(batch) == chunk_size:
+            yield _make_chunk(batch, index, *root())
+            batch = []
+            index += 1
     if batch:
         yield _make_chunk(batch, index, *root())
 
@@ -177,22 +160,6 @@ def _exactly(records: Iterable[Any], expected: int, path: str) -> Iterator[Any]:
 # --------------------------------------------------------------------------- #
 
 
-def _read_blocks(handle: IO, size: Optional[int] = None) -> Iterator[Union[bytes, str]]:
-    """``handle``'s content in blocks, at most ``size`` bytes when given."""
-    while size is None or size > 0:
-        block = handle.read(_BLOCK_SIZE if size is None else min(_BLOCK_SIZE, size))
-        if not block:
-            return
-        if size is not None:
-            size -= len(block)
-        yield block
-
-
-def _file_blocks(path: str) -> Iterator[bytes]:
-    with open(path, "rb") as handle:
-        yield from _read_blocks(handle)
-
-
 def _window_blocks(path: str, index: XMLRecordIndex, start: int, stop: int) -> Iterator[bytes]:
     """A standalone document holding records ``[start, stop)``: the preamble,
     the window's bytes and the root's close tag.  Fails closed when the
@@ -203,71 +170,16 @@ def _window_blocks(path: str, index: XMLRecordIndex, start: int, stop: int) -> I
         yield handle.read(index.offsets[0])
         handle.seek(index.offsets[start])
         end = index.offsets[stop] if stop < index.record_count else index.content_end
-        yield from _read_blocks(handle, end - index.offsets[start])
+        yield from read_blocks(handle, end - index.offsets[start])
         handle.seek(index.content_end)
         yield handle.read()
 
 
-def _xml_records(
-    blocks: Iterable[Union[bytes, str]],
-    head: Dict[str, Any],
-    tag_positions: Optional[Dict[str, int]] = None,
-) -> Iterator[Tuple[ET.Element, int]]:
-    """The XML walk: yield each record element with its per-tag position.
-
-    Positions count on from ``tag_positions`` (a window carries the counts of
-    the records before it).  ``head`` receives the root's ``tag`` and
-    ``attrib`` when the root opens.  A record is cleared and dropped from the
-    root once the consumer moves past it, so the parse holds one record at a
-    time.  A malformed or truncated document raises ``ET.ParseError``.
-    """
-    parser = ET.XMLPullParser(events=("start", "end"))
-    counts = dict(tag_positions or {})
-    depth = 0
-    document_root: Optional[ET.Element] = None
-    for block in chain(blocks, [None]):
-        if block is None:
-            parser.close()
-        else:
-            parser.feed(block)
-        for event, element in parser.read_events():
-            if event == "start":
-                depth += 1
-                if document_root is None:
-                    document_root = element
-                    head.update(tag=element.tag, attrib=element.attrib)
-                continue
-            depth -= 1
-            if depth == 1:
-                pos = counts.get(element.tag, 0)
-                counts[element.tag] = pos + 1
-                yield element, pos
-                element.clear()
-                document_root.remove(element)
-
-
-def _xml_chunks(
-    records: Iterable[Tuple[ET.Element, int]],
-    head: Dict[str, Any],
-    chunk_size: int,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Iterator[Chunk]:
-    """Chunk an XML walk.  The root's attributes ride along in every chunk as
+def _xml_chunks(records: Iterable[Node], head: Dict[str, Any], chunk_size: int) -> Iterator[Chunk]:
+    """Chunk an XML read.  The root's attributes ride along in every chunk as
     leaf children, as in a whole-tree parse; root-level text in mixed
-    content is not reconstructed (it is not complete until the end).  Numbers
-    are coerced as :func:`~repro.hdt.xml_plugin.xml_to_hdt` does by default."""
-
-    def convert(record: Tuple[ET.Element, int]) -> Node:
-        element, pos = record
-        return element_to_node(element, pos)
-
-    def root() -> Tuple[str, Extras]:
-        return head["tag"], [
-            (name, 0, coerce_xml_scalar(value)) for name, value in head["attrib"].items()
-        ]
-
-    return _chunked(records, convert, chunk_size, start, stop, root)
+    content is not reconstructed (it is not complete until the end)."""
+    return _chunked(records, chunk_size, lambda: (head["tag"], head["extras"]))
 
 
 def iter_xml_chunks(
@@ -283,12 +195,12 @@ def iter_xml_chunks(
     chunks), so position-sensitive extractors behave as they would on the
     full tree.  ``record_range=(start, stop)`` restricts the output to the
     records with sequence numbers in ``[start, stop)``: earlier records are
-    parsed (and counted) but never converted, and parsing stops at ``stop``.
+    parsed (and counted) but never built, and parsing stops at ``stop``.
     """
     start, stop = _window(record_range)
-    blocks = _file_blocks(source) if isinstance(source, str) else _read_blocks(source)
     head: Dict[str, Any] = {}
-    return _xml_chunks(_xml_records(blocks, head), head, chunk_size, start, stop)
+    records = iter_xml_records(read_blocks(source), head, start=start, stop=stop)
+    return _xml_chunks(records, head, chunk_size)
 
 
 # --------------------------------------------------------------------------- #
@@ -351,7 +263,7 @@ def iter_json_chunks(
     """
     start, stop = _window(record_range)
     records = _iter_json_records(_decode_json_source(source))
-    yield from _chunked(records, _json_node, chunk_size, start, stop)
+    yield from _chunked(map(_json_node, islice(records, start, stop)), chunk_size)
 
 
 def count_json_records(source: Union[str, IO, list, dict]) -> int:
@@ -373,9 +285,8 @@ def iter_tree_chunks(
     stop)`` clones only the records in that window.
     """
     start, stop = _window(record_range)
-    return _chunked(
-        tree.root.children, clone_subtree, chunk_size, start, stop, lambda: (tree.root.tag, ())
-    )
+    records = map(clone_subtree, islice(tree.root.children, start, stop))
+    return _chunked(records, chunk_size, lambda: (tree.root.tag, ()))
 
 
 def clone_subtree(node: Node) -> Node:
@@ -487,8 +398,10 @@ class XMLSource(ShardSource):
         if start == stop:
             return iter(())
         head: Dict[str, Any] = {}
-        records = _xml_records(
-            _window_blocks(self.path, index, start, stop), head, Counter(index.tags[:start])
+        records = iter_xml_records(
+            _window_blocks(self.path, index, start, stop),
+            head,
+            positions=Counter(index.tags[:start]),
         )
         return _xml_chunks(_exactly(records, stop - start, self.path), head, chunk_size)
 
@@ -518,7 +431,8 @@ class JSONSource(ShardSource):
         value = _decode_json_source(self.source)
         if self._count is not None and count_json_records(value) != self._count:
             raise _changed(str(self.source))
-        yield from _chunked(_iter_json_records(value), _json_node, chunk_size, start, stop)
+        records = map(_json_node, islice(_iter_json_records(value), start, stop))
+        yield from _chunked(records, chunk_size)
 
 
 class DocumentSetSource(ShardSource):

@@ -140,13 +140,8 @@ def test_arrow_family_roundtrip(tmp_path, fmt):  # pragma: no cover - needs pyar
 # --------------------------------------------------------------------------- #
 
 
-def _write_rows(directory, rows, *, batch_size=4, dictionary="auto"):
-    backend = ColumnarBackend(
-        str(directory),
-        batch_size=batch_size,
-        file_format="json",
-        dictionary=dictionary,
-    )
+def _write_rows(directory, rows, *, batch_size=4):
+    backend = ColumnarBackend(str(directory), batch_size=batch_size, file_format="json")
     backend.begin(_simple_schema())
     backend.insert_rows("t", rows)
     backend.finalize()
@@ -177,39 +172,29 @@ def test_spill_streams_sealed_batches_out_of_memory(tmp_path):
 # --------------------------------------------------------------------------- #
 
 
-def test_dictionary_roundtrip_identical_across_modes(tmp_path):
-    # None-heavy, single-distinct and mixed columns must decode row-for-row
-    # identically whether encoded always, never, or by the auto heuristic.
+def test_dictionary_roundtrip_keeps_every_row(tmp_path):
+    # None-heavy, single-distinct and mixed columns decode row-for-row
+    # whether or not the heuristic dictionary-encodes their batch.
     rows = (
         [("only", None)] * 5
         + [(None, 1), (None, 2), ("only", 3)]
         + [("x%d" % i, i) for i in range(4)]
     )
-    decoded = {}
-    for label, dictionary in (("on", True), ("off", False), ("auto", "auto")):
-        directory = tmp_path / label
-        _write_rows(directory, rows, dictionary=dictionary)
-        decoded[label] = load_table_rows(str(directory), "t")
-    assert decoded["on"] == decoded["off"] == decoded["auto"] == rows
-    # dictionary=True stores codes; dictionary=False stores plain lists.
-    assert '"d":' in (tmp_path / "on" / "t.columns.json").read_text()
-    assert '"d":' not in (tmp_path / "off" / "t.columns.json").read_text()
+    _write_rows(tmp_path, rows)
+    assert load_table_rows(str(tmp_path), "t") == rows
+    # The single-distinct batch stores codes; the all-distinct one a plain list.
+    batches = json.loads((tmp_path / "t.columns.json").read_text())["batches"]
+    assert batches[0][0] == {"d": ["only"], "c": [0, 0, 0, 0]}
+    assert batches[-1][0] == ["x0", "x1", "x2", "x3"]
 
 
 def test_dictionary_auto_heuristic():
     from repro.runtime.backends.columnar import _should_dict_encode
 
-    assert _should_dict_encode(["a"] * 8, "auto")  # single distinct value
-    assert _should_dict_encode(["a", "a", "b", "b"], "auto")  # half distinct
-    assert not _should_dict_encode(["a", "b", "c"], "auto")  # all distinct
-    assert not _should_dict_encode([], "auto")
-    assert _should_dict_encode(["a", "b", "c"], True)
-    assert not _should_dict_encode(["a"] * 8, False)
-
-
-def test_dictionary_mode_validated():
-    with pytest.raises(ColumnarBackendError, match="dictionary"):
-        ColumnarBackend(dictionary="sometimes")
+    assert _should_dict_encode(["a"] * 8)  # single distinct value
+    assert _should_dict_encode(["a", "a", "b", "b"])  # half distinct
+    assert not _should_dict_encode(["a", "b", "c"])  # all distinct
+    assert not _should_dict_encode([])
 
 
 # --------------------------------------------------------------------------- #

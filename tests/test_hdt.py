@@ -177,12 +177,11 @@ def test_xml_positions_per_tag():
     assert tree.root.children_with_tag("b")[0].pos == 0
 
 
-def test_xml_numeric_coercion_toggle():
-    coerced = xml_to_hdt("<r><v>42</v><w>4.5</w></r>")
+def test_xml_numeric_coercion():
+    coerced = xml_to_hdt("<r><v>42</v><w>4.5</w><s>4a</s></r>")
     assert coerced.find_first("v").data == 42
     assert coerced.find_first("w").data == 4.5
-    raw = xml_to_hdt("<r><v>42</v></r>", coerce_numbers=False)
-    assert raw.find_first("v").data == "42"
+    assert coerced.find_first("s").data == "4a"
 
 
 def test_xml_roundtrip_structure():

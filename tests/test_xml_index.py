@@ -10,19 +10,27 @@ boundaries; malformed documents raise ElementTree's `ParseError`; a file
 that changed after it was counted fails closed; counts and indexes are
 cached by the file's identity+stat so resume/dry-run never re-scan an
 unchanged source; and `--shards auto` sizes the partition from records x
-cores x chunk size at pinned, deterministic points.
+cores x chunk size at pinned, deterministic points.  Every XML read — whole
+tree, streamed chunks, seeked windows — equals the ElementTree oracle in
+`tests/reference/xml_reader.py` on random documents.
 """
 
 import json
 import os
+import tempfile
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.datasets import dblp
 from repro.hdt.xml_plugin import (
     build_xml_record_index,
     hdt_to_xml,
+    xml_file_to_hdt,
+    xml_to_hdt,
 )
 from repro.runtime import (
     MemoryBackend,
@@ -46,6 +54,7 @@ from repro.runtime.streaming import (
     clear_source_caches,
     iter_xml_chunks,
 )
+from tests.reference import xml_reader as reference_xml
 
 TRICKY_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <!-- catalogue preamble -->
@@ -213,6 +222,43 @@ def test_malformed_xml_keeps_elementtree_error_surface(tmp_path):
         source.count_records()
 
 
+#: An entity the document never defines.  With an external DTD expat cannot
+#: tell it is undefined and skips it; ElementTree refuses the document.
+UNDEFINED_ENTITY_XML = '<!DOCTYPE r SYSTEM "r.dtd"><r><a>M&uuml;ller</a><a>2</a></r>'
+
+
+def test_undefined_entity_fails_at_count_time(tmp_path):
+    path = str(tmp_path / "entity.xml")
+    _rewrite(path, UNDEFINED_ENTITY_XML)
+    with pytest.raises(ET.ParseError) as error:
+        ET.fromstring(UNDEFINED_ENTITY_XML)
+    expected = (error.value.code, error.value.position)
+    reads = (
+        lambda: XMLSource(path).count_records(),
+        lambda: xml_to_hdt(UNDEFINED_ENTITY_XML),
+        lambda: list(iter_xml_chunks(path, 1)),
+    )
+    for read in reads:
+        with pytest.raises(ET.ParseError, match="undefined entity &uuml;") as error:
+            read()
+        assert (error.value.code, error.value.position) == expected
+
+
+def test_sharded_run_over_undefined_entity_writes_nothing(tmp_path, monkeypatch):
+    plan = MigrationPlan.learn(dblp.dataset(scale=3).migration_spec())
+    path = str(tmp_path / "entity.xml")
+    _rewrite(path, UNDEFINED_ENTITY_XML)
+    partitioned = []
+    monkeypatch.setattr(
+        "repro.runtime.sharded.partition_records", lambda *args: partitioned.append(args)
+    )
+    backend = MemoryBackend()
+    with pytest.raises(ET.ParseError, match="undefined entity"):
+        shard_execute(plan, path, backend, shards=2, workers=1, chunk_size=4)
+    assert partitioned == []  # refused at count time, before any shard exists
+    assert backend.database is None  # never begun: no partial target
+
+
 def _rewrite(path, text):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -279,6 +325,124 @@ def test_sharded_run_over_changed_file_writes_nothing(tmp_path):
     with pytest.raises(ShardDegradedError, match="changed after its records were counted"):
         shard_execute(plan, source, backend, shards=2, workers=1, chunk_size=4)
     assert backend.database is None  # never begun: no partial target
+
+
+# --------------------------------------------------------------------------- #
+# Every XML read against the ElementTree oracle
+# --------------------------------------------------------------------------- #
+
+_TEXTS = ["", " ", "\n  ", "7", " -3 ", "4.5", "1e3", "x y", "中文", "é è", "δοκιμή", "<&>"]
+_TAGS = ["a", "b", "p:a", "q:b"]
+_ATTRIBUTES = ["id", "lang", "p:id", "q:id"]
+
+
+@st.composite
+def _character_data(draw):
+    """Text as a document may write it: plain, CDATA, with entity and
+    character references, or split by a comment or a processing instruction."""
+    text = draw(st.sampled_from(_TEXTS))
+    kind = draw(st.sampled_from(["plain", "cdata", "reference", "comment", "pi"]))
+    if kind == "cdata":
+        return f"<![CDATA[{text}]]>"
+    if kind == "reference":
+        return escape(text) + draw(st.sampled_from(["&amp;", "&lt;", "&#233;", "&#x4e2d;"]))
+    if kind == "comment":
+        return escape(text) + "<!-- note -->"
+    if kind == "pi":
+        return escape(text) + "<?pi data?>"
+    return escape(text)
+
+
+@st.composite
+def _xml_element(draw, depth=2):
+    """An element with attributes (some namespaced), mixed content, and at
+    times a default namespace declaration or an empty-element tag."""
+    tag = draw(st.sampled_from(_TAGS))
+    declare = ' xmlns="urn:d"' if draw(st.integers(0, 5)) == 0 else ""
+    names = draw(st.lists(st.sampled_from(_ATTRIBUTES), unique=True, max_size=2))
+    attributes = "".join(f" {name}={quoteattr(draw(st.sampled_from(_TEXTS)))}" for name in names)
+    content = "".join(
+        draw(_xml_element(depth - 1)) if depth and draw(st.booleans()) else draw(_character_data())
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    if not content and draw(st.booleans()):
+        return f"<{tag}{declare}{attributes}/>"
+    return f"<{tag}{declare}{attributes}>{content}</{tag}>"
+
+
+@st.composite
+def _xml_documents(draw):
+    names = draw(st.lists(st.sampled_from(["version", "p:lang"]), unique=True, max_size=2))
+    attributes = "".join(f" {name}={quoteattr(draw(st.sampled_from(_TEXTS)))}" for name in names)
+    between = st.sampled_from(["", "\n  ", "<!-- between -->", "stray text"])
+    body = "".join(
+        draw(between) + draw(_xml_element()) for _ in range(draw(st.integers(0, 6)))
+    )
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<root xmlns:p="urn:p" xmlns:q="urn:q"{attributes}>{body}{draw(between)}</root>'
+    )
+
+
+def _preorder(node):
+    """A subtree's (tag, pos, data type, data) in preorder; its uids must
+    increase along it (nodes are created in document order)."""
+    out, uids, stack = [], [], [node]
+    while stack:
+        current = stack.pop()
+        out.append((current.tag, current.pos, type(current.data).__name__, current.data))
+        uids.append(current.uid)
+        stack.extend(reversed(current.children))
+    assert uids == sorted(set(uids))
+    return out
+
+
+def _chunk_shapes(chunks):
+    """Each chunk as its root and record count, then its children's preorders."""
+    return [
+        [(chunk.tree.root.tag, chunk.tree.root.pos, chunk.tree.root.data, chunk.records)]
+        + [_preorder(child) for child in chunk.tree.root.children]
+        for chunk in chunks
+    ]
+
+
+def _expected_chunks(root_tag, extras, records, chunk_size):
+    """Chunks as the oracle's records batch: a root, the root's attribute
+    leaves, then up to ``chunk_size`` records."""
+    leaves = [[(tag, pos, type(data).__name__, data)] for tag, pos, data in extras]
+    batches = [records[i : i + chunk_size] for i in range(0, len(records), chunk_size)]
+    return [
+        [(root_tag, 0, None, len(batch))] + leaves + [_preorder(record) for record in batch]
+        for batch in batches
+    ]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_xml_documents(), st.data())
+def test_every_xml_read_equals_the_elementtree_oracle(document, data):
+    """Whole-tree reads, streamed chunks at sizes 1, 3 and n, and seeked
+    windows equal the ElementTree oracle node for node — (tag, pos, data) in
+    preorder, chunk boundaries, and uids increasing along each record."""
+    expected_tree = _preorder(reference_xml.xml_to_hdt(document).root)
+    assert _preorder(xml_to_hdt(document).root) == expected_tree
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.xml")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        assert _preorder(xml_file_to_hdt(path).root) == expected_tree
+        root_tag, extras, records = reference_xml.read_records(path)
+        for chunk_size in (1, 3, max(len(records), 1)):
+            assert _chunk_shapes(iter_xml_chunks(path, chunk_size)) == _expected_chunks(
+                root_tag, extras, records, chunk_size
+            )
+        start = data.draw(st.integers(0, len(records)), label="start")
+        stop = data.draw(st.integers(start, len(records)), label="stop")
+        chunk_size = data.draw(st.integers(1, 4), label="chunk_size")
+        source = XMLSource(path)
+        assert source.count_records() == len(records)
+        assert _chunk_shapes(source.iter_chunks(start, stop, chunk_size)) == _expected_chunks(
+            root_tag, extras, records[start:stop], chunk_size
+        )
 
 
 # --------------------------------------------------------------------------- #
