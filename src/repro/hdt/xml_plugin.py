@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import IO, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
@@ -99,25 +100,61 @@ def _qualified(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
+#: A start tag: attribute values may hold ``>`` but not their own quote.
+_START_TAG = re.compile(rb"<[^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*>")
+#: A general entity reference (character references start with ``#``).
+_ENTITY_REFERENCE = re.compile(rb"&([A-Za-z_:\x80-\xff][-\w.:\x80-\xff]*);")
+_PREDEFINED_ENTITIES = frozenset({"amp", "lt", "gt", "quot", "apos"})
+
+
+def _undefined_entity(parser: "expat.XMLParserType", name: str) -> expat.ExpatError:
+    line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+    error = expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
+    error.code = expat.errors.codes[expat.errors.XML_ERROR_UNDEFINED_ENTITY]
+    error.lineno, error.offset = line, column
+    return error
+
+
 def _parser() -> "expat.XMLParserType":
     """An expat parser set up as every XML read needs it.
 
     Names arrive as ``uri}local`` (namespace declarations are consumed, not
     reported as attributes).  An entity reference expat cannot expand — an
     undefined entity in a document with an external DTD, which plain expat
-    skips silently — is an error, as it is for ElementTree.
+    skips silently — is an error, as it is for ElementTree in content.  In
+    an attribute value expat drops it without any callback, so once the
+    document turns out to have an external DTD every start tag with
+    attributes is checked against its raw text.
     """
     parser = expat.ParserCreate(namespace_separator="}")
+    declared = set()
 
     def skipped_entity(name: str, is_parameter_entity: bool) -> None:
         if not is_parameter_entity:
-            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
-            error = expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
-            error.code = expat.errors.codes[expat.errors.XML_ERROR_UNDEFINED_ENTITY]
-            error.lineno, error.offset = line, column
-            raise error
+            raise _undefined_entity(parser, name)
+
+    def entity_declared(name: str, is_parameter_entity: bool, *_: Any) -> None:
+        if not is_parameter_entity:
+            declared.add(name)
+
+    def not_standalone() -> int:
+        start_element = parser.StartElementHandler
+
+        def checked_start_element(name: str, attributes: Dict[str, str]) -> None:
+            if attributes:
+                tag = _START_TAG.match(parser.GetInputContext() or b"")
+                for reference in _ENTITY_REFERENCE.findall(tag.group() if tag else b""):
+                    entity = reference.decode("utf-8", "replace")
+                    if entity not in _PREDEFINED_ENTITIES and entity not in declared:
+                        raise _undefined_entity(parser, entity)
+            start_element(name, attributes)
+
+        parser.StartElementHandler = checked_start_element
+        return 1
 
     parser.SkippedEntityHandler = skipped_entity
+    parser.EntityDeclHandler = entity_declared
+    parser.NotStandaloneHandler = not_standalone
     return parser
 
 
@@ -127,8 +164,11 @@ def _feed(parser: "expat.XMLParserType", blocks: Iterable[Union[bytes, str]]) ->
     ``position``, as ElementTree raises them."""
     try:
         for block in blocks:
-            parser.Parse(block, False)
-            yield
+            # At most a block at a time, so what expat holds (and what
+            # ``GetInputContext`` copies) stays a block's worth.
+            for offset in range(0, len(block), _BLOCK_SIZE):
+                parser.Parse(block[offset:offset + _BLOCK_SIZE], False)
+                yield
         parser.Parse(b"", True)
     except expat.ExpatError as error:
         parse_error = ET.ParseError(str(error))

@@ -491,7 +491,8 @@ def execute_shard(
 def _attempt_shard(payload: Dict[str, object], attempt: int) -> Dict[str, object]:
     """One supervised shard attempt (the :class:`ShardSupervisor` worker).
 
-    Module-level and payload-driven so subprocess mode can pickle it under
+    Module-level and payload-driven so a child process
+    (:class:`~repro.runtime.supervisor.ChildProcesses`) can pickle it under
     any start method.  Compiled executions ride along only on the in-process
     path (compiled programs hold closures, which do not pickle); a worker
     process compiles the plan itself, once per attempt.  ``execute_shard``

@@ -1,32 +1,33 @@
 """Fault-tolerant shard supervision: retries, timeouts, graceful degradation.
 
-The sharded map stage used to hand every shard to one ``multiprocessing``
-pool and die with it: a crashed worker poisoned the pool, one hung shard
-stalled the run forever, and a transient I/O error was as fatal as a plan
-bug.  :class:`ShardSupervisor` replaces that with per-shard *attempts*:
+:class:`ShardSupervisor` runs every shard of a map stage as a sequence of
+*attempts*, scheduled by one loop:
 
-* every shard runs as its own attempt, retried under a :class:`RetryPolicy`
-  (bounded attempts, exponential backoff with deterministic jitter, and a
-  retryable/permanent error classification — see
-  docs/robustness.md#error-classification);
-* in subprocess mode each attempt is an isolated ``multiprocessing.Process``
-  whose death (``os._exit``, OOM-kill, segfault) costs only that attempt —
-  there is no shared pool to break;
-* a wall-clock ``timeout`` per attempt lets the supervisor terminate a hung
-  shard and re-dispatch it;
+* the loop keeps one queue of ``(eligible time, shard, payload, attempt)``
+  entries; a failed attempt re-enters it behind its :class:`RetryPolicy`
+  backoff (bounded attempts, exponential backoff with deterministic jitter,
+  and a retryable/permanent error classification — see
+  docs/robustness.md#error-classification) while other shards proceed;
+* *how* an attempt runs is the caller's *launcher*: a plain call
+  (:func:`plain_calls`), or an isolated child process
+  (:class:`ChildProcesses`) whose death (``os._exit``, OOM-kill, segfault)
+  costs only that attempt, and which is killed and re-dispatched when it
+  outlives its wall-clock timeout;
 * a shard that exhausts its attempts becomes a structured
   :class:`ShardFailure` instead of an exception — remaining shards keep
   running, and the caller decides how to degrade
   (docs/robustness.md#degradation-contract).
 
-Results cross the process boundary as small JSON sidecar files (one per
-attempt) rather than pipes: a worker that dies mid-write leaves either no
-file or a torn temp file, both of which the parent reads as "crashed" —
-there is no half-delivered result state.
+Child processes report through small JSON sidecar files (one per attempt)
+rather than pipes: a worker that dies mid-write leaves either no file or a
+torn temp file, both of which read as "crashed" — there is no
+half-delivered result state.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import multiprocessing
 import os
@@ -34,8 +35,8 @@ import random
 import sqlite3
 import time
 import traceback
+from concurrent import futures as cf
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .durable import write_durably
@@ -45,17 +46,47 @@ __all__ = [
     "ShardFailure",
     "ShardTimeout",
     "WorkerCrash",
+    "RemoteShardError",
     "SupervisionOutcome",
     "ShardSupervisor",
+    "ChildProcesses",
+    "plain_calls",
 ]
+
+#: ``launch(payload, attempt)`` starts one attempt and returns the callable
+#: that finishes it: the attempt's result, or a raised error.
+Launcher = Callable[[Any, int], Callable[[], Any]]
 
 
 class ShardTimeout(Exception):
-    """An attempt exceeded the supervisor's per-shard timeout and was killed."""
+    """An attempt outlived its wall-clock timeout and was killed."""
 
 
 class WorkerCrash(Exception):
     """A worker process died without reporting a result (exit, signal, OOM)."""
+
+
+class RemoteShardError(Exception):
+    """A shard attempt failed in another process — a :class:`ChildProcesses`
+    child or a remote worker — and the error crossed over as a structured
+    report.  ``remote_type`` keeps the original exception type name, so a
+    failure reads the same wherever it happened; ``retryable_hint`` the
+    other side's own classification (made with the same shipped
+    :class:`RetryPolicy`), which the supervisor honours verbatim; and
+    ``remote_traceback`` the traceback where the error was raised."""
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        remote_type: str,
+        retryable: bool,
+        remote_traceback: str = "",
+    ) -> None:
+        super().__init__(message)
+        self.remote_type = remote_type
+        self.retryable_hint = retryable
+        self.remote_traceback = remote_traceback
 
 
 #: Error type *names* that always mean "the worker died, not the work".
@@ -201,14 +232,6 @@ class ShardFailure:
         )
 
 
-def _failure_type(error: BaseException) -> str:
-    """The type name recorded in a :class:`ShardFailure`.  An error that
-    crossed a transport keeps its *original* type name (``remote_type``)
-    so a failure report reads the same whether the shard failed here or
-    on a remote worker."""
-    return str(getattr(error, "remote_type", type(error).__name__))
-
-
 @dataclass
 class SupervisionOutcome:
     """What a supervised map stage produced: per-shard results, permanent
@@ -219,8 +242,120 @@ class SupervisionOutcome:
     retries: int = 0
 
 
-def _write_result(path: str, payload: Dict[str, Any]) -> None:
-    write_durably(path, lambda handle: json.dump(payload, handle))
+def plain_calls(worker: Callable[[Any, int], Any]) -> Launcher:
+    """The launcher for attempts that need no isolation: finishing an
+    attempt is the call ``worker(payload, attempt)``."""
+    return lambda payload, attempt: functools.partial(worker, payload, attempt)
+
+
+def _finished(finish: Callable[[], Any]) -> "cf.Future[Any]":
+    """Run ``finish`` inline; its result or error waits in a done future."""
+    future: "cf.Future[Any]" = cf.Future()
+    try:
+        future.set_result(finish())
+    except Exception as error:  # noqa: BLE001 - classified by the policy
+        future.set_exception(error)
+    return future
+
+
+class ShardSupervisor:
+    """Run every ``(shard, payload)`` task to a result or a
+    :class:`ShardFailure`, retrying per :class:`RetryPolicy`.
+
+    ``launch(payload, attempt)`` starts one attempt on the supervisor's own
+    thread and returns the callable that finishes it.  That callable runs
+    inline when ``concurrency == 1`` and on a pool of ``concurrency``
+    threads otherwise — real concurrency for attempts that *wait* on a
+    child process or a remote worker.  It returns the attempt's result or
+    raises, and every raise is settled the same way: re-queued behind its
+    backoff while the policy allows another attempt, recorded as a
+    failure otherwise.
+
+    ``on_complete(shard, result)`` fires on the supervisor's thread as each
+    shard finishes — the checkpoint/progress hook.  If it raises, no
+    further attempt is launched and the error propagates; attempts still
+    running are the launcher's to stop (:meth:`ChildProcesses.close`)."""
+
+    def __init__(
+        self,
+        launch: Launcher,
+        *,
+        policy: Optional[RetryPolicy] = None,
+        concurrency: int = 1,
+        on_complete: Optional[Callable[[int, Any], None]] = None,
+    ) -> None:
+        self.launch = launch
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.concurrency = max(1, concurrency)
+        self.on_complete = on_complete
+
+    def run(self, tasks: Sequence[Tuple[int, Any]]) -> SupervisionOutcome:
+        outcome = SupervisionOutcome()
+        runnable: List[Tuple[float, int, Any, int]] = [
+            (0.0, shard, payload, 1) for shard, payload in tasks
+        ]
+        active: Dict["cf.Future[Any]", Tuple[int, Any, int]] = {}
+        pool = None
+        if self.concurrency > 1:
+            pool = cf.ThreadPoolExecutor(self.concurrency, thread_name_prefix="repro-shard")
+        try:
+            while runnable or active:
+                runnable.sort(key=lambda entry: entry[0])
+                while (
+                    runnable
+                    and len(active) < self.concurrency
+                    and runnable[0][0] <= time.monotonic()
+                ):
+                    _, shard, payload, attempt = runnable.pop(0)
+                    finish = self.launch(payload, attempt)
+                    future = pool.submit(finish) if pool is not None else _finished(finish)
+                    active[future] = (shard, payload, attempt)
+                if not active:
+                    time.sleep(max(0.0, runnable[0][0] - time.monotonic()))
+                    continue
+                wait_for: Optional[float] = None
+                if runnable and len(active) < self.concurrency:
+                    wait_for = max(0.0, runnable[0][0] - time.monotonic())
+                done, _pending = cf.wait(
+                    list(active), timeout=wait_for, return_when=cf.FIRST_COMPLETED
+                )
+                for future in done:
+                    shard, payload, attempt = active.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        outcome.results[shard] = result = future.result()
+                        if self.on_complete is not None:
+                            self.on_complete(shard, result)
+                        continue
+                    failure = self._raised(shard, attempt, error)
+                    if failure.retryable and attempt < self.policy.max_attempts:
+                        outcome.retries += 1
+                        eligible = time.monotonic() + self.policy.delay_for(shard, attempt)
+                        runnable.append((eligible, shard, payload, attempt + 1))
+                    else:
+                        outcome.failures.append(failure)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+        return outcome
+
+    def _raised(self, shard: int, attempt: int, error: BaseException) -> ShardFailure:
+        """Classify the error an attempt raised.  An error from another
+        process keeps its original type name and traceback."""
+        return ShardFailure(
+            shard=shard,
+            attempts=attempt,
+            error_type=str(getattr(error, "remote_type", type(error).__name__)),
+            error=str(error),
+            retryable=self.policy.is_retryable(error),
+            traceback=getattr(error, "remote_traceback", "")
+            or "".join(traceback.format_exception(type(error), error, error.__traceback__)),
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Process isolation
+# --------------------------------------------------------------------------- #
 
 
 def _child_entry(
@@ -230,331 +365,120 @@ def _child_entry(
     result_path: str,
     policy: RetryPolicy,
 ) -> None:
-    """Attempt entry point inside the worker process: run, then report
+    """Attempt entry point inside the child process: run, then report
     through the result sidecar.  An injected ``kill`` fault calls
     ``os._exit`` inside ``worker`` — no file is written and the parent
     classifies the attempt as a crash."""
     try:
-        result = worker(payload, attempt)
+        report = {"ok": True, "result": worker(payload, attempt)}
     except BaseException as error:  # noqa: BLE001 - everything must be reported
-        _write_result(
-            result_path,
-            {
-                "ok": False,
-                "type": type(error).__name__,
-                "error": str(error),
-                "traceback": traceback.format_exc(),
-                "retryable": policy.is_retryable(error),
-            },
-        )
-        return
-    _write_result(result_path, {"ok": True, "result": result})
+        report = {
+            "ok": False,
+            "type": type(error).__name__,
+            "error": str(error),
+            "traceback": traceback.format_exc(),
+            "retryable": policy.is_retryable(error),
+        }
+    write_durably(result_path, lambda handle: json.dump(report, handle))
 
 
-@dataclass
-class _Attempt:
-    shard: int
-    payload: Any
-    attempt: int
-    process: "multiprocessing.process.BaseProcess"
-    result_path: str
-    deadline: Optional[float]
+def _read_result(path: str, exitcode: Optional[int]) -> Any:
+    """The result a child reported, or its reported error raised as
+    :class:`RemoteShardError`; no readable report means it crashed."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+    except (OSError, ValueError):
+        raise WorkerCrash(
+            f"worker process exited (code {exitcode}) before reporting a result"
+        ) from None
+    if report.get("ok"):
+        return report["result"]
+    raise RemoteShardError(
+        str(report.get("error", "")),
+        remote_type=str(report.get("type", "Exception")),
+        retryable=bool(report.get("retryable", False)),
+        remote_traceback=str(report.get("traceback", "")),
+    )
 
 
-class ShardSupervisor:
-    """Run ``worker(payload, attempt)`` for every ``(shard, payload)`` task,
-    retrying per :class:`RetryPolicy` and collecting permanent failures.
+def _discard(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
-    Two execution modes share one retry/classification contract:
 
-    * ``in_process=False`` — each attempt is its own daemonic
-      ``multiprocessing.Process`` writing a JSON result sidecar into
-      ``scratch_dir``; the parent multiplexes process sentinels with
-      ``multiprocessing.connection.wait``, enforces ``timeout`` per
-      attempt, and schedules backoff without blocking other shards.
-      ``worker`` and payloads must be picklable.
-    * ``in_process=True`` — attempts run serially in the calling process
-      (the ``workers <= 1`` path, where process isolation buys nothing and
-      ``timeout`` cannot be enforced).
-    * ``use_threads=True`` — attempts run on a thread pool.  For workers
-      that *wait* rather than compute: a socket transport's attempt is a
-      wire conversation blocked on a remote process, so threads give real
-      concurrency without pickling anything.  ``timeout`` is rejected here
-      (threads cannot be killed; socket transports bound their reads with
-      socket timeouts instead).
+def _kill(process: "multiprocessing.process.BaseProcess") -> None:
+    if process.is_alive():
+        process.terminate()
+        process.join(1.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
 
-    ``on_complete(shard, result)`` fires in the *calling* process as each
-    shard finishes — the checkpoint/progress hook.  If it raises, the
-    supervisor terminates outstanding attempts and propagates (preserving
-    the abort semantics callers rely on)."""
+
+class ChildProcesses:
+    """Process isolation as a launcher: each attempt runs
+    ``worker(payload, attempt)`` in its own daemonic
+    ``multiprocessing.Process`` and reports through a JSON sidecar in
+    ``scratch_dir``.  ``worker`` and payloads must be picklable.
+
+    :meth:`launch` forks on the supervisor's thread — never on a pool
+    thread — and starts the attempt's ``timeout`` clock.  The callable it
+    returns waits for the child until that deadline, then kills it and
+    raises :class:`ShardTimeout`; otherwise it returns the reported
+    result, raises :class:`RemoteShardError` for a reported error, or
+    :class:`WorkerCrash` when the child left no readable report.
+    :meth:`close` kills any child still alive."""
 
     def __init__(
         self,
         worker: Callable[[Any, int], Any],
         *,
-        policy: Optional[RetryPolicy] = None,
-        concurrency: int = 1,
+        policy: RetryPolicy,
+        scratch_dir: str,
         timeout: Optional[float] = None,
-        scratch_dir: Optional[str] = None,
-        on_complete: Optional[Callable[[int, Any], None]] = None,
-        in_process: bool = False,
-        use_threads: bool = False,
     ) -> None:
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
-        if in_process and use_threads:
-            raise ValueError("in_process and use_threads are mutually exclusive")
-        if (in_process or use_threads) and timeout is not None:
-            raise ValueError("timeout requires process isolation (in_process=False)")
-        if not in_process and not use_threads and scratch_dir is None:
-            raise ValueError("subprocess mode needs a scratch_dir for result files")
         self.worker = worker
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.concurrency = max(1, concurrency)
-        self.timeout = timeout
+        self.policy = policy
         self.scratch_dir = scratch_dir
-        self.on_complete = on_complete
-        self.in_process = in_process
-        self.use_threads = use_threads
+        self.timeout = timeout
+        self._serial = itertools.count()
+        self._children: List["multiprocessing.process.BaseProcess"] = []
 
-    def run(self, tasks: Sequence[Tuple[int, Any]]) -> SupervisionOutcome:
-        if self.in_process:
-            return self._run_in_process(tasks)
-        if self.use_threads:
-            return self._run_threads(tasks)
-        return self._run_processes(tasks)
-
-    # ------------------------------------------------------------------ #
-    # One failed attempt, settled the same way in every mode
-    # ------------------------------------------------------------------ #
-
-    def _retry_or_fail(
-        self,
-        outcome: SupervisionOutcome,
-        runnable: List[Tuple[float, int, Any, int]],
-        payload: Any,
-        failure: ShardFailure,
-    ) -> None:
-        """Re-queue the shard behind its backoff delay while the policy allows
-        another attempt; otherwise ``failure`` is permanent and recorded."""
-        shard, attempt = failure.shard, failure.attempts
-        if failure.retryable and attempt < self.policy.max_attempts:
-            outcome.retries += 1
-            eligible = time.monotonic() + self.policy.delay_for(shard, attempt)
-            runnable.append((eligible, shard, payload, attempt + 1))
-        else:
-            outcome.failures.append(failure)
-
-    def _raised(self, shard: int, attempt: int, error: BaseException) -> ShardFailure:
-        """Classify an exception an attempt raised in this process."""
-        return ShardFailure(
-            shard=shard,
-            attempts=attempt,
-            error_type=_failure_type(error),
-            error=str(error),
-            retryable=self.policy.is_retryable(error),
-            traceback="".join(
-                traceback.format_exception(type(error), error, error.__traceback__)
-            ),
+    def launch(self, payload: Any, attempt: int) -> Callable[[], Any]:
+        result_path = os.path.join(
+            self.scratch_dir, f"attempt-{next(self._serial):05d}-{attempt}.json"
         )
-
-    # ------------------------------------------------------------------ #
-    # In-process mode
-    # ------------------------------------------------------------------ #
-
-    def _run_in_process(self, tasks: Sequence[Tuple[int, Any]]) -> SupervisionOutcome:
-        outcome = SupervisionOutcome()
-        for shard, payload in tasks:
-            # A shard's retries run before the next shard starts.
-            runnable: List[Tuple[float, int, Any, int]] = [(0.0, shard, payload, 1)]
-            while runnable:
-                eligible, _, _, attempt = runnable.pop()
-                if eligible:
-                    time.sleep(max(0.0, eligible - time.monotonic()))
-                try:
-                    result = self.worker(payload, attempt)
-                except Exception as error:  # noqa: BLE001 - classified by the policy
-                    failure = self._raised(shard, attempt, error)
-                    self._retry_or_fail(outcome, runnable, payload, failure)
-                    continue
-                outcome.results[shard] = result
-                if self.on_complete is not None:
-                    self.on_complete(shard, result)
-        return outcome
-
-    # ------------------------------------------------------------------ #
-    # Thread mode (transport conversations)
-    # ------------------------------------------------------------------ #
-
-    def _run_threads(self, tasks: Sequence[Tuple[int, Any]]) -> SupervisionOutcome:
-        from concurrent import futures as cf
-
-        outcome = SupervisionOutcome()
-        # Same (eligible time, shard, payload, attempt) queue discipline as
-        # subprocess mode: backoff delays eligibility, never the whole stage.
-        runnable: List[Tuple[float, int, Any, int]] = [
-            (0.0, shard, payload, 1) for shard, payload in tasks
-        ]
-        active: Dict[Any, Tuple[int, Any, int]] = {}
-        executor = cf.ThreadPoolExecutor(
-            max_workers=self.concurrency, thread_name_prefix="repro-shard"
-        )
-        try:
-            while runnable or active:
-                now = time.monotonic()
-                runnable.sort(key=lambda entry: entry[0])
-                while runnable and len(active) < self.concurrency and runnable[0][0] <= now:
-                    _, shard, payload, attempt = runnable.pop(0)
-                    future = executor.submit(self.worker, payload, attempt)
-                    active[future] = (shard, payload, attempt)
-                if not active:
-                    time.sleep(max(0.0, runnable[0][0] - time.monotonic()))
-                    continue
-                wait_for: Optional[float] = None
-                if runnable:
-                    wait_for = max(0.0, runnable[0][0] - time.monotonic())
-                done, _pending = cf.wait(
-                    list(active), timeout=wait_for, return_when=cf.FIRST_COMPLETED
-                )
-                for future in done:
-                    shard, payload, attempt = active.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        result = future.result()
-                        outcome.results[shard] = result
-                        if self.on_complete is not None:
-                            self.on_complete(shard, result)
-                        continue
-                    failure = self._raised(shard, attempt, error)
-                    self._retry_or_fail(outcome, runnable, payload, failure)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return outcome
-
-    # ------------------------------------------------------------------ #
-    # Subprocess mode
-    # ------------------------------------------------------------------ #
-
-    def _result_path(self, shard: int, attempt: int) -> str:
-        assert self.scratch_dir is not None
-        return os.path.join(self.scratch_dir, f"attempt-{shard:05d}-{attempt}.json")
-
-    def _launch(self, shard: int, payload: Any, attempt: int) -> _Attempt:
-        result_path = self._result_path(shard, attempt)
-        if os.path.exists(result_path):
-            os.remove(result_path)
+        _discard(result_path)
         process = multiprocessing.get_context().Process(
             target=_child_entry,
             args=(self.worker, payload, attempt, result_path, self.policy),
             daemon=True,
-            name=f"repro-shard-{shard}-a{attempt}",
+            name=f"repro-shard-a{attempt}",
         )
         process.start()
-        deadline = time.monotonic() + self.timeout if self.timeout is not None else None
-        return _Attempt(shard, payload, attempt, process, result_path, deadline)
+        self._children.append(process)
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
 
-    @staticmethod
-    def _kill(attempt: _Attempt) -> None:
-        if attempt.process.is_alive():
-            attempt.process.terminate()
-            attempt.process.join(1.0)
-            if attempt.process.is_alive():
-                attempt.process.kill()
-                attempt.process.join()
-
-    def _run_processes(self, tasks: Sequence[Tuple[int, Any]]) -> SupervisionOutcome:
-        outcome = SupervisionOutcome()
-        # (eligible time, shard, payload, attempt) — retries re-enter with a
-        # backoff-delayed eligibility instead of blocking the whole stage.
-        runnable: List[Tuple[float, int, Any, int]] = [
-            (0.0, shard, payload, 1) for shard, payload in tasks
-        ]
-        active: Dict[object, _Attempt] = {}
-        try:
-            while runnable or active:
-                now = time.monotonic()
-                runnable.sort(key=lambda entry: entry[0])
-                while runnable and len(active) < self.concurrency and runnable[0][0] <= now:
-                    _, shard, payload, attempt = runnable.pop(0)
-                    state = self._launch(shard, payload, attempt)
-                    active[state.process.sentinel] = state
-
-                wakeups = [state.deadline for state in active.values() if state.deadline is not None]
-                if runnable and len(active) < self.concurrency:
-                    wakeups.append(runnable[0][0])
-                wait_for: Optional[float] = None
-                if wakeups:
-                    wait_for = max(0.0, min(wakeups) - time.monotonic())
-
-                if active:
-                    ready = mp_connection.wait(list(active.keys()), timeout=wait_for)
-                elif wait_for is not None:
-                    time.sleep(wait_for)
-                    continue
-                else:
-                    ready = []
-
-                now = time.monotonic()
-                finished = [active.pop(sentinel) for sentinel in ready]
-                for sentinel, state in list(active.items()):
-                    if state.deadline is not None and now >= state.deadline:
-                        self._kill(state)
-                        del active[sentinel]
-                        self._settle(state, outcome, runnable, timed_out=True)
-                for state in finished:
-                    self._settle(state, outcome, runnable, timed_out=False)
-        finally:
-            for state in active.values():
-                self._kill(state)
-                if os.path.exists(state.result_path):
-                    os.remove(state.result_path)
-        return outcome
-
-    def _settle(
-        self,
-        state: _Attempt,
-        outcome: SupervisionOutcome,
-        runnable: List[Tuple[float, int, Any, int]],
-        *,
-        timed_out: bool,
-    ) -> None:
-        state.process.join()
-        report: Optional[Dict[str, Any]] = None
-        if not timed_out and os.path.exists(state.result_path):
+        def finish() -> Any:
             try:
-                with open(state.result_path, "r", encoding="utf-8") as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError):
-                report = None
-        if os.path.exists(state.result_path):
-            os.remove(state.result_path)
+                process.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+                if process.is_alive():
+                    _kill(process)
+                    raise ShardTimeout(
+                        f"attempt {attempt} exceeded {self.timeout}s and was cancelled"
+                    )
+                return _read_result(result_path, process.exitcode)
+            finally:
+                _discard(result_path)
 
-        if report is not None and report.get("ok"):
-            outcome.results[state.shard] = report["result"]
-            if self.on_complete is not None:
-                self.on_complete(state.shard, report["result"])
-            return
+        return finish
 
-        shard, attempt = state.shard, state.attempt
-        if timed_out:
-            failure = ShardFailure(
-                shard, attempt, ShardTimeout.__name__,
-                f"shard {shard} attempt {attempt} exceeded {self.timeout}s and was cancelled",
-                retryable=True,
-            )
-        elif report is not None:
-            failure = ShardFailure(
-                shard, attempt,
-                str(report.get("type", "Exception")),
-                str(report.get("error", "")),
-                bool(report.get("retryable", False)),
-                str(report.get("traceback", "")),
-            )
-        else:
-            failure = ShardFailure(
-                shard, attempt, WorkerCrash.__name__,
-                f"worker for shard {shard} exited (code {state.process.exitcode}) "
-                f"before reporting a result",
-                retryable=True,
-            )
-        self._retry_or_fail(outcome, runnable, state.payload, failure)
+    def close(self) -> None:
+        for process in self._children:
+            _kill(process)
+        self._children.clear()

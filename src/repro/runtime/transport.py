@@ -56,7 +56,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .faults import FaultPlan
 from .plan import MigrationPlan
-from .supervisor import RetryPolicy, ShardSupervisor, SupervisionOutcome
+from .supervisor import (
+    ChildProcesses,
+    RemoteShardError,
+    RetryPolicy,
+    ShardSupervisor,
+    SupervisionOutcome,
+    plain_calls,
+)
 
 __all__ = [
     "WIRE_MAGIC",
@@ -119,19 +126,6 @@ class WorkerUnavailable(TransportError):
     cannot help, so the run degrades immediately)."""
 
 
-class RemoteShardError(Exception):
-    """A shard attempt failed *on* the worker; the error crossed the wire as
-    a structured report.  ``remote_type`` preserves the original exception
-    type name and ``retryable_hint`` the worker's own classification (made
-    with the driver's shipped :class:`RetryPolicy`), which the supervisor
-    honours verbatim."""
-
-    def __init__(self, message: str, *, remote_type: str, retryable: bool) -> None:
-        super().__init__(message)
-        self.remote_type = remote_type
-        self.retryable_hint = retryable
-
-
 # --------------------------------------------------------------------------- #
 # Framing: length-prefixed, CRC-checked pickle messages
 # --------------------------------------------------------------------------- #
@@ -189,6 +183,18 @@ def recv_frame(sock: socket.socket, *, what: str = "frame") -> Any:
         return pickle.loads(data)
     except Exception as error:  # noqa: BLE001 - any decode failure is a frame error
         raise FrameError(f"{what} payload does not decode: {error}") from error
+
+
+def _recv_reply(sock: socket.socket, what: str) -> Tuple[str, Any]:
+    """One worker reply: a ``(kind, body)`` pair whose body is a dict — or
+    bytes, for a ``data`` frame.  Anything else is a :class:`FrameError`,
+    so a malformed reply never reaches the code that reads it."""
+    message = recv_frame(sock, what=what)
+    if isinstance(message, tuple) and len(message) == 2 and isinstance(message[0], str):
+        kind, body = message
+        if isinstance(body, bytes if kind == "data" else dict):
+            return kind, body
+    raise FrameError(f"{what} is not a (kind, body) pair: {message!r:.120}")
 
 
 # --------------------------------------------------------------------------- #
@@ -298,8 +304,9 @@ class LocalTransport(ShardTransport):
     always had, now behind the transport seam.
 
     ``workers > 1`` (or a ``shard_timeout``, which needs killable attempts)
-    runs each attempt as an isolated worker process; otherwise shards run
-    serially in-process, sharing one compiled-execution set.
+    runs each attempt as an isolated child process
+    (:class:`~repro.runtime.supervisor.ChildProcesses`); otherwise shards
+    run serially in-process, sharing one compiled-execution set.
     """
 
     name = "local"
@@ -309,40 +316,46 @@ class LocalTransport(ShardTransport):
         from .executor import compile_plan_executions
         from .sharded import _attempt_shard
 
-        pending = list(job.specs)
+        if not job.specs:
+            return SupervisionOutcome()
         # Process isolation is what makes timeouts enforceable and worker
         # death survivable; the serial path keeps 1-worker runs cheap.
-        use_processes = bool(pending) and (
-            job.workers > 1 or job.shard_timeout is not None
-        )
-        shared_executions = None
-        if pending and not use_processes:
-            shared_executions = compile_plan_executions(job.plan)
-        tasks: List[Tuple[int, Dict[str, Any]]] = []
-        for spec in pending:
-            payload: Dict[str, Any] = {
-                "plan": job.plan,
-                "source": job.source,
-                "spec": spec,
-                "chunk_size": job.chunk_size,
-                "spill_path": job.spill_paths[spec.index],
-                "fingerprint": job.fingerprint,
-                "faults": job.faults,
-                "in_process": not use_processes,
-            }
-            if shared_executions is not None:
-                payload["executions"] = shared_executions
-            tasks.append((spec.index, payload))
-        supervisor = ShardSupervisor(
+        isolated = job.workers > 1 or job.shard_timeout is not None
+        shared: Dict[str, Any] = {"in_process": not isolated}
+        if not isolated:
+            shared["executions"] = compile_plan_executions(job.plan)
+        tasks = [
+            (
+                spec.index,
+                {
+                    "plan": job.plan,
+                    "source": job.source,
+                    "spec": spec,
+                    "chunk_size": job.chunk_size,
+                    "spill_path": job.spill_paths[spec.index],
+                    "fingerprint": job.fingerprint,
+                    "faults": job.faults,
+                    **shared,
+                },
+            )
+            for spec in job.specs
+        ]
+        children = ChildProcesses(
             _attempt_shard,
             policy=job.policy,
-            concurrency=max(1, min(job.workers, len(pending)) if pending else 1),
-            timeout=job.shard_timeout if use_processes else None,
             scratch_dir=job.scratch_dir,
-            on_complete=job.on_complete,
-            in_process=not use_processes,
+            timeout=job.shard_timeout,
         )
-        return supervisor.run(tasks)
+        supervisor = ShardSupervisor(
+            children.launch if isolated else plain_calls(_attempt_shard),
+            policy=job.policy,
+            concurrency=min(job.workers, len(tasks)),
+            on_complete=job.on_complete,
+        )
+        try:
+            return supervisor.run(tasks)
+        finally:
+            children.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -376,9 +389,10 @@ class _Endpoint:
 class SocketTransport(ShardTransport):
     """Ship shards to ``repro worker`` processes over TCP/Unix sockets.
 
-    Each endpoint runs one shard at a time over a persistent connection;
-    the supervisor's threads (one per endpoint) block on the socket
-    conversation while the worker process does the CPU work.  A connection
+    Each endpoint runs one shard at a time over a persistent connection.
+    An attempt is a plain call that blocks on the socket conversation while
+    the worker process does the CPU work — on one of the supervisor's pool
+    threads (one per endpoint) when there are several endpoints.  A connection
     or frame failure re-dispatches the shard under the retry policy — to a
     *surviving* worker when the failed endpoint cannot be reconnected.  A
     handshake rejection (plan fingerprint mismatch) condemns the endpoint
@@ -465,11 +479,12 @@ class SocketTransport(ShardTransport):
             return SupervisionOutcome()
         effective_timeout = self.timeout if self.timeout is not None else job.shard_timeout
         supervisor = ShardSupervisor(
-            lambda task, attempt: self._run_shard(job, task, attempt, effective_timeout),
+            plain_calls(
+                lambda spec, attempt: self._run_shard(job, spec, attempt, effective_timeout)
+            ),
             policy=job.policy,
-            concurrency=max(1, min(len(self._endpoints), len(job.specs))),
+            concurrency=min(len(self._endpoints), len(job.specs)),
             on_complete=job.on_complete,
-            use_threads=True,
         )
         return supervisor.run([(spec.index, spec) for spec in job.specs])
 
@@ -495,28 +510,27 @@ class SocketTransport(ShardTransport):
                 )
             try:
                 self._ensure_ready(endpoint, job, timeout)
-            except (TransportError, OSError) as error:
+            except BaseException as error:
                 # Connect/handshake failures poison the *endpoint*, not the
                 # shard: condemn it and move straight to a surviving worker.
-                self._condemn(endpoint, f"connect/handshake failed: {error}")
+                self._condemn(
+                    endpoint, f"connect/handshake failed: {type(error).__name__}: {error}"
+                )
+                if not isinstance(error, (TransportError, OSError)):
+                    raise
                 last_error = error
                 continue
             try:
-                manifest = self._converse(endpoint, job, spec, attempt)
-            except TransportError:
-                # Mid-conversation failure: drop the connection but keep the
-                # endpoint — reconnecting decides whether the worker is gone
-                # (refused -> condemned on the next acquire of it).
+                return self._converse(endpoint, job, spec, attempt)
+            except BaseException:
+                # The conversation may have stopped mid-stream: drop the
+                # connection but keep the endpoint — reconnecting decides
+                # whether the worker is gone (refused -> condemned).
                 with self._cond:
                     endpoint.drop_connection()
-                self._release(endpoint)
                 raise
-            except BaseException:
+            finally:
                 self._release(endpoint)
-                raise
-            else:
-                self._release(endpoint)
-                return manifest
 
     def _ensure_ready(
         self, endpoint: _Endpoint, job: ShardMapJob, timeout: Optional[float]
@@ -529,7 +543,7 @@ class SocketTransport(ShardTransport):
         sock.settimeout(timeout)
         try:
             send_frame(sock, ("hello", {"magic": WIRE_MAGIC, "fingerprint": job.fingerprint}))
-            kind, info = recv_frame(sock, what="handshake")
+            kind, info = _recv_reply(sock, "handshake")
             if kind == "reject":
                 raise HandshakeError(
                     f"worker {endpoint.address} rejected plan "
@@ -542,7 +556,7 @@ class SocketTransport(ShardTransport):
                 )
             if not info.get("have_plan"):
                 send_frame(sock, ("plan", job.plan))
-                kind, info = recv_frame(sock, what="plan ack")
+                kind, info = _recv_reply(sock, "plan ack")
                 if kind == "reject":
                     raise HandshakeError(
                         f"worker {endpoint.address} rejected plan "
@@ -580,21 +594,26 @@ class SocketTransport(ShardTransport):
                 },
             ),
         )
-        kind, info = recv_frame(sock, what="spill announcement")
+        kind, info = _recv_reply(sock, "spill announcement")
         if kind == "error":
             raise RemoteShardError(
                 f"shard {spec.index} failed on worker {endpoint.address}: "
                 f"{info.get('error')}",
                 remote_type=str(info.get("type", "Exception")),
                 retryable=bool(info.get("retryable", False)),
+                remote_traceback=str(info.get("traceback", "")),
             )
         if kind != "spill":
             raise FrameError(
                 f"worker {endpoint.address} answered shard {spec.index} "
                 f"with {kind!r}, expected a spill announcement"
             )
-        expected_size = int(info["size"])
-        expected_crc = int(info["crc32"])
+        expected_size, expected_crc = info.get("size"), info.get("crc32")
+        if not (isinstance(expected_size, int) and isinstance(expected_crc, int)):
+            raise FrameError(
+                f"worker {endpoint.address} announced shard {spec.index}'s spill "
+                f"without an integer size and crc32 ({info!r:.120})"
+            )
         spill_path = job.spill_paths[spec.index]
         temp_path = f"{spill_path}.rx-{attempt}"
         received = 0
@@ -602,7 +621,7 @@ class SocketTransport(ShardTransport):
         try:
             with open(temp_path, "wb") as handle:
                 while True:
-                    kind, body = recv_frame(sock, what="spill frame")
+                    kind, body = _recv_reply(sock, "spill frame")
                     if kind == "data":
                         handle.write(body)
                         crc = zlib.crc32(body, crc)
@@ -616,6 +635,7 @@ class SocketTransport(ShardTransport):
                             f"{endpoint.address}: {body.get('error')}",
                             remote_type=str(body.get("type", "Exception")),
                             retryable=bool(body.get("retryable", False)),
+                            remote_traceback=str(body.get("traceback", "")),
                         )
                     raise FrameError(
                         f"unexpected {kind!r} frame inside shard "

@@ -16,7 +16,9 @@ loudly instead of ever truncating output silently.
 """
 
 import json
+import os
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -46,8 +48,10 @@ from repro.runtime.service import JobRunner, ShardCheckpoint
 from repro.runtime.service.jobs import Job
 from repro.runtime.sharded import ShardDegradedError, ShardError
 from repro.runtime.supervisor import (
+    ChildProcesses,
     RetryPolicy,
     ShardFailure,
+    ShardSupervisor,
     ShardTimeout,
     WorkerCrash,
 )
@@ -196,6 +200,170 @@ def test_shard_failure_json_roundtrip():
     assert ShardFailure.from_json(failure.to_json()) == failure
     assert "shard 2" in failure.describe()
     assert "3 attempt(s)" in failure.describe()
+
+
+# --------------------------------------------------------------------------- #
+# ShardSupervisor: the one attempt loop, driven by fake launchers
+# --------------------------------------------------------------------------- #
+
+
+def _scripted_launcher(script, log):
+    """A launcher with no processes: the attempt ``(payload, attempt)``
+    raises ``script[(payload, attempt)]`` when scripted (``"always"`` as
+    the attempt scripts every attempt) and returns ``payload`` otherwise.
+    Every launch is logged as ``(payload, attempt, time, thread)``."""
+
+    def launch(payload, attempt):
+        log.append((payload, attempt, time.monotonic(), threading.current_thread()))
+
+        def finish():
+            error = script.get((payload, attempt), script.get((payload, "always")))
+            if error is not None:
+                raise error
+            return payload
+
+        return finish
+
+    return launch
+
+
+def test_supervisor_retries_after_backoff_while_another_shard_proceeds():
+    policy = RetryPolicy(base_delay=0.2, jitter=0.0)
+    log = []
+    launch = _scripted_launcher({("a", 1): OSError("spill I/O")}, log)
+    outcome = ShardSupervisor(launch, policy=policy).run([(0, "a"), (1, "b")])
+    assert outcome.results == {0: "a", 1: "b"}
+    assert outcome.retries == 1 and outcome.failures == []
+    assert [(payload, attempt) for payload, attempt, _, _ in log] == [
+        ("a", 1), ("b", 1), ("a", 2),
+    ]
+    assert log[2][2] - log[0][2] >= policy.delay_for(0, 1)
+
+
+def test_supervisor_exhaustion_records_max_attempts():
+    policy = RetryPolicy(max_attempts=3, base_delay=0.001)
+    log = []
+    launch = _scripted_launcher({("x", "always"): WorkerCrash("gone")}, log)
+    outcome = ShardSupervisor(launch, policy=policy).run([(4, "x")])
+    (failure,) = outcome.failures
+    assert (failure.shard, failure.attempts, failure.error_type) == (4, 3, "WorkerCrash")
+    assert failure.retryable  # transient, but the budget ran out
+    assert outcome.retries == 2 and len(log) == 3
+
+
+def test_supervisor_permanent_error_fails_on_the_spot():
+    log = []
+    launch = _scripted_launcher({("x", 1): ValueError("a plan bug")}, log)
+    outcome = ShardSupervisor(launch, policy=RetryPolicy()).run([(0, "x"), (1, "y")])
+    (failure,) = outcome.failures
+    assert (failure.shard, failure.attempts, failure.retryable) == (0, 1, False)
+    assert "ValueError: a plan bug" in failure.traceback
+    assert outcome.results == {1: "y"} and len(log) == 2
+
+
+def test_supervisor_on_complete_error_stops_launches():
+    log = []
+
+    def on_complete(shard, result):
+        raise RuntimeError("checkpoint disk full")
+
+    supervisor = ShardSupervisor(_scripted_launcher({}, log), on_complete=on_complete)
+    with pytest.raises(RuntimeError, match="checkpoint disk full"):
+        supervisor.run([(0, "a"), (1, "b"), (2, "c")])
+    assert [(payload, attempt) for payload, attempt, _, _ in log] == [("a", 1)]
+
+
+def test_supervisor_concurrency_overlaps_attempts():
+    barrier = threading.Barrier(2, timeout=10)
+    launched_on = []
+
+    def launch(payload, attempt):
+        launched_on.append(threading.current_thread())
+        return lambda: (barrier.wait(), payload)[1]
+
+    outcome = ShardSupervisor(launch, concurrency=2).run([(0, "a"), (1, "b")])
+    # Each attempt waits for the other: both finish only if they overlap.
+    assert outcome.results == {0: "a", 1: "b"} and outcome.failures == []
+    assert launched_on == [threading.current_thread()] * 2
+
+
+# --------------------------------------------------------------------------- #
+# ChildProcesses: process isolation as a launcher
+# --------------------------------------------------------------------------- #
+
+
+def _child_sleeps(pid_path, attempt):
+    with open(pid_path, "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(60)
+
+
+def _child_exits(payload, attempt):
+    os._exit(3)
+
+
+def _child_raises(payload, attempt):
+    raise ValueError(f"bad payload {payload!r}")
+
+
+def _child_pid(pid_path):
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        if os.path.exists(pid_path):
+            with open(pid_path) as handle:
+                text = handle.read()
+            if text:
+                return int(text)
+        time.sleep(0.01)
+    raise AssertionError("the child never started")
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_child_processes_timeout_kills_the_child(tmp_path):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    children = ChildProcesses(
+        _child_sleeps, policy=RetryPolicy(), scratch_dir=str(scratch), timeout=1.0
+    )
+    finish = children.launch(str(tmp_path / "pid"), 1)
+    with pytest.raises(ShardTimeout, match="exceeded 1.0s"):
+        finish()
+    assert not _alive(_child_pid(str(tmp_path / "pid")))
+    assert os.listdir(scratch) == []
+
+
+def test_child_processes_exit_is_a_worker_crash(tmp_path):
+    children = ChildProcesses(_child_exits, policy=RetryPolicy(), scratch_dir=str(tmp_path))
+    with pytest.raises(WorkerCrash, match=r"code 3\)"):
+        children.launch(None, 1)()
+
+
+def test_child_processes_error_keeps_type_classification_and_traceback(tmp_path):
+    policy = RetryPolicy()
+    children = ChildProcesses(_child_raises, policy=policy, scratch_dir=str(tmp_path))
+    outcome = ShardSupervisor(children.launch, policy=policy).run([(7, "x")])
+    (failure,) = outcome.failures
+    assert (failure.shard, failure.attempts) == (7, 1)
+    assert failure.error_type == "ValueError" and not failure.retryable
+    assert failure.error == "bad payload 'x'"
+    assert "in _child_raises" in failure.traceback  # the child's own frames
+    assert os.listdir(tmp_path) == []
+
+
+def test_child_processes_close_kills_live_children(tmp_path):
+    children = ChildProcesses(_child_sleeps, policy=RetryPolicy(), scratch_dir=str(tmp_path))
+    children.launch(str(tmp_path / "pid"), 1)
+    pid = _child_pid(str(tmp_path / "pid"))
+    assert _alive(pid)
+    children.close()
+    assert not _alive(pid)
 
 
 # --------------------------------------------------------------------------- #

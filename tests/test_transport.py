@@ -36,6 +36,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends import ColumnarBackend
 from repro.runtime.cli import main as cli_main
+from repro.runtime.supervisor import RetryPolicy
 from repro.runtime.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -377,6 +378,72 @@ def test_no_reachable_worker_degrades_immediately(dblp_plan, tmp_path):
     failures = excinfo.value.failures
     assert failures and all(f.error_type == "WorkerUnavailable" for f in failures)
     assert all(f.attempts == 1 for f in failures)
+
+
+def _scripted_worker(replies):
+    """A fake worker on loopback TCP that answers the n-th frame of every
+    connection with ``replies[n]`` and then hangs up.  Returns its address
+    and a stop callable."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # listener closed
+            with conn:
+                try:
+                    for reply in replies:
+                        recv_frame(conn)
+                        send_frame(conn, reply)
+                except TransportError:
+                    pass
+
+    threading.Thread(target=serve, daemon=True).start()
+    return format_address("tcp", listener.getsockname()[:2]), listener.close
+
+
+@pytest.mark.parametrize(
+    "replies",
+    [
+        [("ready", "not-a-dict")],
+        ["ready"],
+        [("ready", {"magic": WIRE_MAGIC}, "extra")],
+        [
+            ("ready", {"magic": WIRE_MAGIC, "have_plan": True}),
+            ("spill", {"size": "12", "crc32": 0, "records": 1}),
+        ],
+    ],
+    ids=["body-not-a-dict", "not-a-pair", "triple", "spill-size-not-int"],
+)
+def test_malformed_worker_reply_degrades_instead_of_hanging(dblp_plan, replies):
+    """A reply that is not a ``(kind, dict)`` pair is a FrameError.  It once
+    escaped as a plain ValueError/AttributeError that left the endpoint
+    marked busy, so the next shard waited for it forever."""
+    document = dblp.dataset(scale=4).generate(4)
+    address, stop = _scripted_worker(replies)
+    raised = []
+
+    def run():
+        try:
+            with SocketTransport([address], timeout=5) as transport:
+                shard_execute(
+                    dblp_plan, document, shards=2, workers=1, chunk_size=4,
+                    retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01),
+                    transport=transport,
+                )
+        except BaseException as error:  # noqa: BLE001 - inspected below
+            raised.append(error)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(30)
+    stop()
+    assert not runner.is_alive(), "shard_execute hung on a malformed reply"
+    (error,) = raised
+    assert isinstance(error, ShardDegradedError)
+    assert "FrameError" in str(error)
 
 
 # --------------------------------------------------------------------------- #

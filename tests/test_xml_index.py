@@ -244,6 +244,35 @@ def test_undefined_entity_fails_at_count_time(tmp_path):
         assert (error.value.code, error.value.position) == expected
 
 
+#: The same entity in an attribute value: expat (and so ElementTree) drops
+#: it without a word and reads ``b="Mller"``.
+UNDEFINED_ATTRIBUTE_ENTITY_XML = '<!DOCTYPE r SYSTEM "r.dtd"><r><a b="M&uuml;ller">x</a></r>'
+
+
+def test_undefined_entity_in_attribute_fails_closed(tmp_path):
+    assert ET.fromstring(UNDEFINED_ATTRIBUTE_ENTITY_XML)[0].get("b") == "Mller"
+    path = str(tmp_path / "entity.xml")
+    _rewrite(path, UNDEFINED_ATTRIBUTE_ENTITY_XML)
+    reads = (
+        lambda: xml_to_hdt(UNDEFINED_ATTRIBUTE_ENTITY_XML),
+        lambda: xml_file_to_hdt(path),
+        lambda: list(iter_xml_chunks(path, 1)),
+        lambda: build_xml_record_index(path),
+    )
+    for read in reads:
+        with pytest.raises(ET.ParseError, match="undefined entity &uuml;"):
+            read()
+
+
+def test_declared_and_predefined_entities_in_attributes_still_expand():
+    document = (
+        '<!DOCTYPE r SYSTEM "r.dtd" [<!ENTITY u "\u00fc">]>'
+        '<r><a b="M&u;ller &amp; &#252; &gt;">x</a></r>'
+    )
+    (record,) = xml_to_hdt(document).root.children
+    assert record.children[0].data == "M\u00fcller & \u00fc >"
+
+
 def test_sharded_run_over_undefined_entity_writes_nothing(tmp_path, monkeypatch):
     plan = MigrationPlan.learn(dblp.dataset(scale=3).migration_spec())
     path = str(tmp_path / "entity.xml")
