@@ -32,12 +32,12 @@ succeeds).  Injection sites:
     ``lock_db`` raises ``sqlite3.OperationalError("database is locked")``
     before a batch insert, exercising the backend's retry loop.
 ``wire frame`` (remote workers only, docs/distributed.md#fault-injection)
-    fired by a ``repro worker`` as it streams a finished shard's spill
+    fired by a ``repro worker`` as it sends a finished shard's spill frames
     back over a :class:`~repro.runtime.transport.SocketTransport`:
-    ``stall`` sleeps ``ms`` milliseconds before the first data frame,
+    ``stall`` sleeps ``ms`` milliseconds before the first frame,
     ``corrupt_frame`` flips a payload byte after the CRC is computed (the
     client detects the mismatch and re-dispatches), and ``drop_conn``
-    sends half of the first data frame and severs the connection — the
+    sends half of the first frame and severs the connection — the
     "cable cut mid-result" case that must retry to a byte-identical
     result, never a silently truncated one.
 
@@ -323,7 +323,7 @@ class FaultContext:
             )
 
     def wire_frame(self, frame_index: int) -> Optional[str]:
-        """Wire-path hook, fired by a remote worker per outgoing data frame.
+        """Wire-path hook, fired by a remote worker per outgoing spill frame.
 
         Deterministically targets the *first* data frame of the matching
         shard attempt so every injected wire fault lands at the same byte

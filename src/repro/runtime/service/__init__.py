@@ -8,9 +8,10 @@ local HTTP/JSON API (stdlib ``http.server`` — no new dependencies).
 
 The package splits along the job lifecycle:
 
-* :mod:`~repro.runtime.service.checkpoint` — :class:`ShardCheckpoint`, the
-  per-job manifest of completed shard spill files.  A spill that replays
-  cleanly (fingerprint-validated framing, counts matching its end manifest)
+* :mod:`~repro.runtime.service.checkpoint` — :class:`ShardCheckpoint`, a
+  per-job directory of shard spill files beside a manifest of the run
+  parameters.  A spill that replays cleanly (CRC-checked frames, a
+  fingerprint-stamped header, counts matching its end manifest)
   proves its shard finished, however the writer died — so a killed job or a
   killed daemon resumes at the first unfinished shard;
 * :mod:`~repro.runtime.service.jobs` — :class:`Job` / :class:`JobStore`:

@@ -1,9 +1,10 @@
 """Checkpoint manifests: resume a sharded run at the first unfinished shard.
 
 A sharded execution's natural checkpoint unit is the per-shard spill file —
-framed, fingerprint-validated, self-describing (see
+CRC-framed, fingerprint-validated, self-describing (see
 :mod:`repro.runtime.sharded`).  :class:`ShardCheckpoint` manages a directory
-holding those spills plus a small ``checkpoint.json`` manifest:
+holding those spills plus a small ``checkpoint.json`` manifest of the run
+parameters:
 
 .. code-block:: json
 
@@ -12,24 +13,21 @@ holding those spills plus a small ``checkpoint.json`` manifest:
       "plan_fingerprint": "1f6a…",
       "shards": 8,
       "chunk_size": 1000,
-      "records": 40000,
-      "completed": { "0": { "shard": 0, "chunks": 5, "records": 5000,
-                            "batches": 12, "per_table_rows": { "…": 123 } } }
+      "records": 40000
     }
 
-The manifest records the run *parameters* (so a resume against a different
-plan, shard count, chunk size or document silently producing garbage is
-impossible — it raises instead) and, incrementally, the end manifest of each
-completed shard.  Completion truth, however, is the spill file itself: at
+The parameters make a resume against a different plan, shard count, chunk
+size or document raise instead of silently producing garbage.  Which shards
+are done is not recorded anywhere but in the spills themselves: at
 :meth:`ShardCheckpoint.begin` every present spill is fully replayed through
-the validated framing (:func:`~repro.runtime.sharded.validate_spill`), so a
-shard counts as done even if the driver was killed between writing the spill
-and updating ``checkpoint.json`` — and a partially-written spill from a
-killed worker fails validation and is re-executed.
+the spill validator (:func:`~repro.runtime.sharded.validate_spill`), so a
+shard counts as done whenever its spill is whole, however the run died — and
+a spill cut short or corrupted is deleted and its shard re-executed.  The
+manifest is written once, when a fresh run begins.
 
 Both the daemon's job runner and the one-shot CLI (``repro run --resume``)
 use this class; :func:`~repro.runtime.sharded.shard_execute` only sees its
-``directory`` / ``begin`` / ``mark_complete`` / ``finish`` surface.
+``directory`` / ``begin`` / ``finish`` surface.
 """
 
 from __future__ import annotations
@@ -45,9 +43,6 @@ CHECKPOINT_MANIFEST_NAME = "checkpoint.json"
 
 _CHECKPOINT_KIND = "repro_shard_checkpoint"
 
-#: The run parameters a resume must reproduce exactly.
-_PARAM_KEYS = ("plan_fingerprint", "shards", "chunk_size", "records")
-
 
 class ShardCheckpoint:
     """A directory of shard spills plus the manifest that makes them resumable.
@@ -58,7 +53,6 @@ class ShardCheckpoint:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        self._state: Optional[Dict[str, object]] = None
 
     @property
     def manifest_path(self) -> str:
@@ -80,14 +74,6 @@ class ShardCheckpoint:
             return None
         return payload
 
-    def completed_indices(self) -> Dict[int, Dict[str, object]]:
-        """Completed shards recorded so far (manifest only, no revalidation)."""
-        stored = self._state if self._state is not None else self.load()
-        if stored is None:
-            return {}
-        completed = stored.get("completed") or {}
-        return {int(index): manifest for index, manifest in completed.items()}  # type: ignore[union-attr]
-
     # ------------------------------------------------------------ lifecycle
     def begin(
         self,
@@ -101,13 +87,14 @@ class ShardCheckpoint:
         """Open the checkpoint for one run; returns the completed shards.
 
         Fresh runs (``resume=False``, or no usable manifest) clear any
-        leftover spills and start an empty manifest.  Resumed runs validate
-        the stored parameters against this run's (mismatch raises
+        leftover spills and write the manifest.  Resumed runs validate the
+        stored parameters against this run's (mismatch raises
         :class:`~repro.runtime.sharded.ShardError` — resuming under changed
         parameters would interleave incompatible spills), then replay every
         present spill end to end: the valid ones are returned as
         ``{shard_index: end_manifest}`` and skipped by the map stage, the
-        invalid ones (truncated by a killed worker) are deleted and re-run.
+        invalid ones (truncated by a killed worker, corrupted, or of an
+        older spill format) are deleted and re-run.
         """
         os.makedirs(self.directory, exist_ok=True)
         params: Dict[str, object] = {
@@ -118,9 +105,7 @@ class ShardCheckpoint:
         }
         stored = self.load() if resume else None
         if resume and stored is not None:
-            mismatched = [
-                key for key in _PARAM_KEYS if stored.get(key) != params[key]
-            ]
+            mismatched = [key for key in params if stored.get(key) != params[key]]
             if mismatched:
                 raise ShardError(
                     f"checkpoint {self.manifest_path} was written by a run with "
@@ -131,8 +116,8 @@ class ShardCheckpoint:
                 )
         if stored is None:
             self._clear_spills()
-            self._state = {"kind": _CHECKPOINT_KIND, **params, "completed": {}}
-            self._write()
+            text = json.dumps({"kind": _CHECKPOINT_KIND, **params}, indent=2, sort_keys=True)
+            write_durably(self.manifest_path, lambda handle: handle.write(text + "\n"))
             return {}
         completed: Dict[int, Dict[str, object]] = {}
         for index in range(shards):
@@ -144,25 +129,13 @@ class ShardCheckpoint:
                     path, plan_fingerprint=plan_fingerprint, shard_index=index
                 )
             except ShardError:
-                # A worker died mid-write: the spill is partial. Remove it so
-                # the map stage re-executes the shard from scratch.
+                # A partial, corrupt or old-format spill: remove it so the
+                # map stage re-executes the shard from scratch.
                 try:
                     os.remove(path)
                 except OSError:
                     pass
-        self._state = {
-            "kind": _CHECKPOINT_KIND,
-            **params,
-            "completed": {str(i): m for i, m in sorted(completed.items())},
-        }
-        self._write()
         return completed
-
-    def mark_complete(self, index: int, manifest: Dict[str, object]) -> None:
-        """Record one shard's end manifest; atomically rewrites the file."""
-        assert self._state is not None, "begin() was not called"
-        self._state["completed"][str(index)] = manifest  # type: ignore[index]
-        self._write()
 
     def finish(self) -> None:
         """The run completed: drop the spills and the manifest.
@@ -175,7 +148,6 @@ class ShardCheckpoint:
             os.remove(self.manifest_path)
         except OSError:
             pass
-        self._state = None
 
     # ------------------------------------------------------------ internals
     def _clear_spills(self) -> None:
@@ -187,7 +159,3 @@ class ShardCheckpoint:
                     os.remove(os.path.join(self.directory, name))
                 except OSError:
                     pass
-
-    def _write(self) -> None:
-        text = json.dumps(self._state, indent=2, sort_keys=True) + "\n"
-        write_durably(self.manifest_path, lambda handle: handle.write(text))

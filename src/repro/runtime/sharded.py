@@ -27,10 +27,14 @@ see :func:`~repro.runtime.executor.canonical_table_rows`) to whole-tree and
 serial streamed execution, for the same record-local program class the
 streaming layer documents.
 
-Every spill file carries a begin header and an end manifest (shard index,
-plan fingerprint, per-table row counts).  A worker crash, a truncated file,
-or a spill produced by a different plan surfaces as :class:`ShardError` at
-reduce time — never as silently missing rows.
+A spill is one stream of CRC-framed messages
+(:func:`~repro.runtime.transport.encode_frame`), the same bytes on disk and
+on the wire: a begin header (shard index, plan fingerprint), bounded row
+batches, and an end manifest repeating the per-table row counts.  One
+validator (:func:`check_spill`) checks that stream wherever it is read —
+the reduce, a checkpoint resume, a remote worker's reply — so a worker
+crash, a flipped byte, a truncated file, or a spill produced by a different
+plan surfaces as :class:`ShardError` — never as silently missing rows.
 
 What a record is, and how a window of records is read, is defined once, in
 :mod:`repro.runtime.streaming`: :func:`~repro.runtime.streaming.shard_source`
@@ -63,7 +67,6 @@ whole document.
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
 import tempfile
 import time
@@ -78,12 +81,20 @@ from .faults import FaultContext, FaultPlan, activation as fault_activation, res
 from .plan import MigrationPlan
 from .streaming import DEFAULT_CHUNK_SIZE, ShardError, ShardSource, shard_source
 from .supervisor import RetryPolicy, ShardFailure, ShardSupervisor
-from .transport import LocalTransport, ShardMapJob, ShardTransport
+from .transport import (
+    LocalTransport,
+    ShardMapJob,
+    ShardTransport,
+    TransportError,
+    encode_frame,
+    message_kind,
+    recv_frame,
+)
 
 #: Rows per spilled batch — bounds both worker buffering and parent replay.
 SPILL_BATCH_ROWS = 4096
 
-_SPILL_MAGIC = "repro-shard-spill/1"
+_SPILL_MAGIC = "repro-shard-spill/2"
 
 
 class ShardDegradedError(ShardError):
@@ -212,12 +223,13 @@ def _spill_path(directory: str, index: int) -> str:
 class SpillWriter:
     """Append a shard's deduplicated row batches to its spill file.
 
-    Wire format: a pickle stream of messages — ``("begin", header)`` once,
-    any number of ``("rows", table, rows)`` batches (each at most
-    ``batch_rows`` rows, in worker processing order), and ``("end",
-    manifest)`` exactly once.  The end manifest repeats the per-table row
-    counts, which is what lets the reducer distinguish "shard finished with
-    few rows" from "worker died mid-write".
+    A spill is a stream of :func:`~repro.runtime.transport.encode_frame`
+    frames, the same bytes a remote worker sends on the wire:
+    ``("begin", header)`` once, any number of ``("rows", table, rows)``
+    batches (each at most ``batch_rows`` rows, in worker processing order),
+    and ``("end", manifest)`` exactly once.  The end manifest repeats the
+    per-table row counts, which is what lets the reader tell "shard finished
+    with few rows" from "worker died mid-write".
     """
 
     def __init__(
@@ -238,18 +250,11 @@ class SpillWriter:
         self._faults = faults
         self._handle = open(path, "wb")
         self._dump(
-            (
-                "begin",
-                {
-                    "magic": _SPILL_MAGIC,
-                    "shard": shard_index,
-                    "plan_fingerprint": plan_fingerprint,
-                },
-            )
+            ("begin", {"magic": _SPILL_MAGIC, "shard": shard_index, "plan_fingerprint": plan_fingerprint})
         )
 
     def _dump(self, message) -> None:
-        pickle.dump(message, self._handle, protocol=pickle.HIGHEST_PROTOCOL)
+        self._handle.write(encode_frame(message))
 
     def _spill_batch(self, table: str, batch: List[Row]) -> None:
         if self._faults is not None:
@@ -287,6 +292,78 @@ class SpillWriter:
         return manifest
 
 
+def check_spill(
+    messages: Iterator[object],
+    *,
+    plan_fingerprint: str,
+    shard_index: int,
+    where: str,
+    manifest_out: Optional[Dict[str, object]] = None,
+) -> Iterator[Tuple[str, List[Row]]]:
+    """The one spill validator: check a shard's decoded spill messages as
+    they stream, yielding each row batch.
+
+    Raises :class:`ShardError`, prefixed with ``where``, on a missing or
+    foreign ``begin`` header (an older spill format included), a header for
+    another shard or plan, a malformed message, a stream that stops before
+    its ``end`` manifest, or row and batch counts that disagree with it.
+    The caller reads the frames (and checks their CRCs): :func:`iter_spill`
+    from a file, :class:`~repro.runtime.transport.SocketTransport` from a
+    worker.  The validated end manifest is copied into ``manifest_out``.
+    """
+    first = next(messages, None)
+    if message_kind(first, dict) != "begin" or first[1].get("magic") != _SPILL_MAGIC:
+        raise ShardError(f"{where} is not a {_SPILL_MAGIC} stream")
+    header = first[1]
+    if header.get("shard") != shard_index:
+        raise ShardError(
+            f"{where} belongs to shard {header.get('shard')}, expected {shard_index}"
+        )
+    if header.get("plan_fingerprint") != plan_fingerprint:
+        raise ShardError(
+            f"{where} was produced by a different plan "
+            f"({header.get('plan_fingerprint')} != {plan_fingerprint})"
+        )
+    counts: Dict[str, int] = {}
+    batches = 0
+    for message in messages:
+        if message_kind(message, str, list) == "rows":
+            _, table, rows = message
+            counts[table] = counts.get(table, 0) + len(rows)
+            batches += 1
+            yield table, rows
+        elif message_kind(message, dict) == "end":
+            manifest = message[1]
+            declared = manifest.get("per_table_rows")
+            if isinstance(declared, dict):
+                declared = {table: count for table, count in declared.items() if count}
+            if (
+                declared != counts
+                or manifest.get("batches") != batches
+                or manifest.get("shard") != shard_index
+                or not isinstance(manifest.get("chunks"), int)
+            ):
+                raise ShardError(
+                    f"{where} row counts do not match its end manifest (replayed "
+                    f"{batches} batch(es) of {counts}, manifest {manifest!r:.200})"
+                )
+            if manifest_out is not None:
+                manifest_out.update(manifest)
+            return
+        else:
+            raise ShardError(f"{where} contains a malformed message {message!r:.80}")
+    raise ShardError(f"{where} is truncated: it ends before the end-of-shard manifest")
+
+
+def _spill_messages(handle, where: str) -> Iterator[object]:
+    """Decode a spill file's frames; a frame error is a :class:`ShardError`."""
+    while handle.peek(1):
+        try:
+            yield recv_frame(handle, what="spill frame")
+        except TransportError as error:
+            raise ShardError(f"{where} is truncated or corrupt: {error}") from error
+
+
 def iter_spill(
     path: str,
     *,
@@ -294,72 +371,27 @@ def iter_spill(
     shard_index: int,
     manifest_out: Optional[Dict[str, object]] = None,
 ) -> Iterator[Tuple[str, List[Row]]]:
-    """Replay a spill file's row batches, validating the framing as it goes.
+    """Replay a spill file's row batches, validating them as they stream.
 
-    Raises :class:`ShardError` — naming the shard and what is wrong — on a
-    missing file, a foreign or mismatched header, a truncated stream (no end
-    manifest), or per-table row counts that do not match the manifest.
-    Validation is interleaved with replay, so a truncation is detected even
-    though batches stream to the caller before the end marker is read.
-
-    Pass a dict as ``manifest_out`` to receive the validated end manifest
-    (shard index, chunk/record/row counts) once the stream completes.
+    Every frame is held to its length bound and CRC, and the messages to
+    :func:`check_spill`: a missing file, a flipped byte, a truncation or a
+    foreign spill raises :class:`ShardError` naming the shard, even though
+    batches reach the caller before the end manifest is read.  Pass a dict
+    as ``manifest_out`` to receive the validated end manifest.
     """
     where = f"shard {shard_index} spill {path}"
     try:
         handle = open(path, "rb")
     except OSError as error:
         raise ShardError(f"{where} is missing: {error}") from error
-    counts: Dict[str, int] = {}
-    batches = 0
     with handle:
-        try:
-            kind, header = pickle.load(handle)
-        except (EOFError, pickle.UnpicklingError, ValueError, TypeError) as error:
-            raise ShardError(f"{where} has no readable header: {error}") from error
-        if kind != "begin" or header.get("magic") != _SPILL_MAGIC:
-            raise ShardError(f"{where} is not a shard spill file")
-        if header.get("shard") != shard_index:
-            raise ShardError(
-                f"{where} belongs to shard {header.get('shard')}, expected {shard_index}"
-            )
-        if header.get("plan_fingerprint") != plan_fingerprint:
-            raise ShardError(
-                f"{where} was produced by a different plan "
-                f"({header.get('plan_fingerprint')} != {plan_fingerprint})"
-            )
-        while True:
-            try:
-                message = pickle.load(handle)
-            except EOFError as error:
-                raise ShardError(
-                    f"{where} is truncated: stream ended before the end-of-shard "
-                    f"manifest (worker died mid-write?)"
-                ) from error
-            except pickle.UnpicklingError as error:
-                raise ShardError(f"{where} is corrupt: {error}") from error
-            if message[0] == "rows":
-                _, table, rows = message
-                counts[table] = counts.get(table, 0) + len(rows)
-                batches += 1
-                yield table, rows
-                continue
-            if message[0] == "end":
-                manifest = message[1]
-                declared = {
-                    table: count
-                    for table, count in (manifest.get("per_table_rows") or {}).items()
-                    if count
-                }
-                if declared != counts or manifest.get("batches") != batches:
-                    raise ShardError(
-                        f"{where} row counts do not match its manifest "
-                        f"(replayed {counts}, manifest {manifest.get('per_table_rows')})"
-                    )
-                if manifest_out is not None:
-                    manifest_out.update(manifest)
-                return
-            raise ShardError(f"{where} contains unknown message {message[0]!r}")
+        yield from check_spill(
+            _spill_messages(handle, where),
+            plan_fingerprint=plan_fingerprint,
+            shard_index=shard_index,
+            where=where,
+            manifest_out=manifest_out,
+        )
 
 
 def validate_spill(
@@ -374,12 +406,10 @@ def validate_spill(
     would.
     """
     manifest: Dict[str, object] = {}
-    for _table, _rows in iter_spill(
-        path,
-        plan_fingerprint=plan_fingerprint,
-        shard_index=shard_index,
-        manifest_out=manifest,
-    ):
+    batches = iter_spill(
+        path, plan_fingerprint=plan_fingerprint, shard_index=shard_index, manifest_out=manifest
+    )
+    for _batch in batches:
         pass
     return manifest
 
@@ -570,11 +600,11 @@ def shard_execute(
 
     ``checkpoint`` makes the run *resumable*: pass a
     :class:`~repro.runtime.service.checkpoint.ShardCheckpoint` (or anything
-    with its ``directory`` / ``begin`` / ``mark_complete`` / ``finish``
-    surface) and spill files persist in the checkpoint directory, with a
-    manifest updated as each shard completes.  With ``resume=True``, shards
-    whose checkpointed spill replays cleanly end to end are *not*
-    re-executed — the reducer consumes the existing spill.  A fingerprint,
+    with its ``directory`` / ``begin`` / ``finish`` surface) and spill files
+    persist in the checkpoint directory beside a manifest of the run
+    parameters.  A spill is its shard's completion record: with
+    ``resume=True``, shards whose checkpointed spill replays cleanly end to
+    end are *not* re-executed — the reducer consumes the existing spill.  A fingerprint,
     shard-count or chunk-size mismatch against the stored manifest raises
     :class:`ShardError` under ``resume`` (and starts fresh otherwise).  On
     success the checkpoint is cleared.  ``resume`` without a checkpoint is
@@ -639,8 +669,6 @@ def shard_execute(
 
     def _shard_done(index: int, manifest: Dict[str, object]) -> None:
         manifests[index] = manifest
-        if checkpoint is not None:
-            checkpoint.mark_complete(index, manifest)
         if progress is not None:
             progress(len(manifests), len(specs))
 
@@ -665,10 +693,9 @@ def shard_execute(
             progress(len(manifests), len(specs))
         # Map: fill the spill files under transport-specific supervision.
         # ``_shard_done`` runs in this process the moment each shard
-        # finishes, so the checkpoint manifest — and the caller's progress —
-        # never wait on stragglers.  The ambient fault activation covers the
-        # reduce stage's backend-insert hook (the map stage carries the plan
-        # explicitly).
+        # finishes, so the caller's progress never waits on stragglers.  The
+        # ambient fault activation covers the reduce stage's backend-insert
+        # hook (the map stage carries the plan explicitly).
         with fault_activation(fault_plan):
             outcome = map_transport.run_map(job)
             report.shards_retried = outcome.retries

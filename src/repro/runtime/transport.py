@@ -3,9 +3,11 @@
 The sharded runtime (``sharded.py``) was designed transport-pluggable from
 the start: a shard attempt is fully described by ``(plan content-fingerprint,
 shard spec, source locator)`` and fully *accounted for* by its validated
-spill file — a framed, fingerprint-stamped stream the reducer replays with
-interleaved validation (:func:`~repro.runtime.sharded.iter_spill`).  This
-module cashes that seam in.  A :class:`ShardTransport` runs the supervised
+spill — a stream of CRC-checked frames (:func:`encode_frame`) that is the
+same bytes on disk and on the wire, checked by one validator
+(:func:`~repro.runtime.sharded.check_spill`).  This module holds the frame
+codec — the one place a message is pickled or unpickled — and cashes that
+seam in.  A :class:`ShardTransport` runs the supervised
 map stage for a :class:`ShardMapJob`; the reduce stage never changes,
 because every transport's contract is the same: *materialize each shard's
 validated spill file at the agreed path, or fail loudly*.
@@ -17,12 +19,12 @@ Two implementations ship:
   seam.  This is the default and is byte-for-byte the behaviour
   ``shard_execute`` always had.
 * :class:`SocketTransport` — remote workers.  Shard requests travel to
-  ``repro worker`` processes (:mod:`repro.runtime.worker`) as
-  length-prefixed, CRC-checked frames over TCP or Unix-domain sockets
-  (stdlib only), and the worker streams the finished shard's spill frames
-  back.  The client re-materializes them as a local spill file and replays
-  it through :func:`~repro.runtime.sharded.validate_spill` before the shard
-  counts as done — a half-delivered or corrupted result is *never* trusted
+  ``repro worker`` processes (:mod:`repro.runtime.worker`) as frames over
+  TCP or Unix-domain sockets (stdlib only), and the worker sends its
+  finished spill's frames back as they are.  The driver checks each frame's
+  CRC and the message stream as it arrives, writing the frames to a local
+  spill file that is renamed into place only once the end manifest has
+  validated — a half-delivered or corrupted result is *never* trusted
   (docs/distributed.md#wire-protocol).
 
 Transport failures are first-class error classes so the
@@ -52,10 +54,11 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .faults import FaultPlan
 from .plan import MigrationPlan
+from .streaming import ShardError
 from .supervisor import (
     ChildProcesses,
     RemoteShardError,
@@ -79,14 +82,18 @@ __all__ = [
     "SocketTransport",
     "encode_frame",
     "send_frame",
+    "read_frame",
+    "decode_frame",
     "recv_frame",
+    "recv_pair",
+    "message_kind",
     "parse_address",
     "format_address",
     "connect_address",
 ]
 
 #: Protocol identifier exchanged in the handshake; bump on incompatible change.
-WIRE_MAGIC = "repro-shard-wire/1"
+WIRE_MAGIC = "repro-shard-wire/2"
 
 #: ``(payload length, payload crc32)`` — the prefix of every frame.
 FRAME_HEADER = struct.Struct(">II")
@@ -94,10 +101,6 @@ FRAME_HEADER = struct.Struct(">II")
 #: Upper bound on a single frame's payload; a larger declared length means a
 #: corrupt or foreign stream, not a legitimate message.
 MAX_FRAME_BYTES = 512 * 1024 * 1024
-
-#: Bytes of spill data per ``("data", ...)`` frame when streaming a finished
-#: shard back from a remote worker.
-SPILL_FRAME_BYTES = 256 * 1024
 
 
 class TransportError(Exception):
@@ -127,12 +130,14 @@ class WorkerUnavailable(TransportError):
 
 
 # --------------------------------------------------------------------------- #
-# Framing: length-prefixed, CRC-checked pickle messages
+# Framing: length-prefixed, CRC-checked pickle messages, on a socket or a file
 # --------------------------------------------------------------------------- #
 
 
 def encode_frame(message: Any) -> bytes:
-    """One wire frame: ``>II`` (length, crc32) header + pickled payload."""
+    """One frame: ``>II`` (length, crc32) header + pickled payload.  The
+    only place a message is pickled — wire requests, replies and every
+    spill message alike."""
     data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     return FRAME_HEADER.pack(len(data), zlib.crc32(data) & 0xFFFFFFFF) + data
 
@@ -144,57 +149,78 @@ def send_frame(sock: socket.socket, message: Any) -> None:
         raise ConnectionLost(f"connection lost while sending: {error}") from error
 
 
-def _recv_exact(sock: socket.socket, size: int, what: str) -> bytes:
+def _read_exact(read: Callable[[int], bytes], size: int, what: str) -> bytes:
     chunks: List[bytes] = []
     remaining = size
     while remaining:
         try:
-            piece = sock.recv(min(remaining, 1 << 20))
+            piece = read(min(remaining, 1 << 20))
         except OSError as error:
-            raise ConnectionLost(
-                f"connection lost while reading {what}: {error}"
-            ) from error
+            raise ConnectionLost(f"stream lost while reading {what}: {error}") from error
         if not piece:
             raise ConnectionLost(
-                f"connection closed mid-{what} "
-                f"({size - remaining} of {size} bytes arrived)"
+                f"stream ended mid-{what} ({size - remaining} of {size} bytes arrived)"
             )
         chunks.append(piece)
         remaining -= len(piece)
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, *, what: str = "frame") -> Any:
-    """Read one frame, enforcing the length bound and the CRC *before* the
-    payload is unpickled — a corrupted frame raises :class:`FrameError`, a
-    cut connection :class:`ConnectionLost`; neither is ever silently
-    truncated into a short result."""
-    header = _recv_exact(sock, FRAME_HEADER.size, f"{what} header")
+def read_frame(stream: Union[socket.socket, BinaryIO], *, what: str = "frame") -> bytes:
+    """One whole frame, header included, from a socket or a binary file.
+
+    The length bound and the CRC are enforced before the bytes are returned:
+    a bad length or checksum raises :class:`FrameError`, a stream that ends
+    mid-frame (a cut connection, a truncated file) :class:`ConnectionLost`.
+    """
+    read = stream.recv if isinstance(stream, socket.socket) else stream.read
+    header = _read_exact(read, FRAME_HEADER.size, f"{what} header")
     length, crc = FRAME_HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise FrameError(
             f"{what} declares {length} bytes (limit {MAX_FRAME_BYTES}); "
             f"corrupt or foreign stream"
         )
-    data = _recv_exact(sock, length, f"{what} payload")
+    data = _read_exact(read, length, f"{what} payload")
     if zlib.crc32(data) & 0xFFFFFFFF != crc:
         raise FrameError(f"{what} failed its CRC check (corrupt frame)")
+    return header + data
+
+
+def decode_frame(frame: bytes, *, what: str = "frame") -> Any:
+    """The message of a frame :func:`read_frame` returned."""
     try:
-        return pickle.loads(data)
+        return pickle.loads(memoryview(frame)[FRAME_HEADER.size:])
     except Exception as error:  # noqa: BLE001 - any decode failure is a frame error
         raise FrameError(f"{what} payload does not decode: {error}") from error
 
 
-def _recv_reply(sock: socket.socket, what: str) -> Tuple[str, Any]:
-    """One worker reply: a ``(kind, body)`` pair whose body is a dict — or
-    bytes, for a ``data`` frame.  Anything else is a :class:`FrameError`,
-    so a malformed reply never reaches the code that reads it."""
+def recv_frame(stream: Union[socket.socket, BinaryIO], *, what: str = "frame") -> Any:
+    """Read and decode one frame (:func:`read_frame`, then unpickle)."""
+    return decode_frame(read_frame(stream, what=what), what=what)
+
+
+def message_kind(message: Any, *types: type) -> Optional[str]:
+    """The kind of a ``(kind, *parts)`` message whose parts are instances of
+    ``types``; ``None`` for anything else.  Every decoded request, reply and
+    spill message is held to its shape with this before it is read."""
+    if (
+        isinstance(message, tuple)
+        and len(message) == 1 + len(types)
+        and isinstance(message[0], str)
+        and all(map(isinstance, message[1:], types))
+    ):
+        return message[0]
+    return None
+
+
+def recv_pair(sock: socket.socket, what: str, body_type: type = dict) -> Tuple[str, Any]:
+    """One request or reply: a ``(kind, body)`` pair whose body is a
+    ``body_type``, or a :class:`FrameError` — on either side of the wire."""
     message = recv_frame(sock, what=what)
-    if isinstance(message, tuple) and len(message) == 2 and isinstance(message[0], str):
-        kind, body = message
-        if isinstance(body, bytes if kind == "data" else dict):
-            return kind, body
-    raise FrameError(f"{what} is not a (kind, body) pair: {message!r:.120}")
+    if message_kind(message, body_type) is None:
+        raise FrameError(f"{what} is not a (kind, {body_type.__name__}) pair: {message!r:.120}")
+    return message
 
 
 # --------------------------------------------------------------------------- #
@@ -429,10 +455,6 @@ class SocketTransport(ShardTransport):
 
     # ------------------------------------------------------------ endpoints
 
-    @property
-    def endpoints(self) -> List[_Endpoint]:
-        return list(self._endpoints)
-
     def live_endpoints(self) -> List[str]:
         with self._cond:
             return [e.address for e in self._endpoints if not e.dead]
@@ -543,7 +565,7 @@ class SocketTransport(ShardTransport):
         sock.settimeout(timeout)
         try:
             send_frame(sock, ("hello", {"magic": WIRE_MAGIC, "fingerprint": job.fingerprint}))
-            kind, info = _recv_reply(sock, "handshake")
+            kind, info = recv_pair(sock, "handshake")
             if kind == "reject":
                 raise HandshakeError(
                     f"worker {endpoint.address} rejected plan "
@@ -556,7 +578,7 @@ class SocketTransport(ShardTransport):
                 )
             if not info.get("have_plan"):
                 send_frame(sock, ("plan", job.plan))
-                kind, info = _recv_reply(sock, "plan ack")
+                kind, info = recv_pair(sock, "plan ack")
                 if kind == "reject":
                     raise HandshakeError(
                         f"worker {endpoint.address} rejected plan "
@@ -575,8 +597,14 @@ class SocketTransport(ShardTransport):
     def _converse(
         self, endpoint: _Endpoint, job: ShardMapJob, spec: Any, attempt: int
     ) -> Dict[str, Any]:
-        """One shard round-trip: request out, spill frames back, validate."""
-        from .sharded import validate_spill
+        """One shard round-trip: the request out, the spill stream back.
+
+        Each frame is CRC-checked on arrival, checked by the spill
+        validator and written to ``<spill>.rx-<attempt>``; the file is
+        renamed into place once the end manifest has validated.  Returns
+        that manifest.
+        """
+        from .sharded import check_spill
 
         sock = endpoint.sock
         assert sock is not None
@@ -594,66 +622,41 @@ class SocketTransport(ShardTransport):
                 },
             ),
         )
-        kind, info = _recv_reply(sock, "spill announcement")
-        if kind == "error":
-            raise RemoteShardError(
-                f"shard {spec.index} failed on worker {endpoint.address}: "
-                f"{info.get('error')}",
-                remote_type=str(info.get("type", "Exception")),
-                retryable=bool(info.get("retryable", False)),
-                remote_traceback=str(info.get("traceback", "")),
-            )
-        if kind != "spill":
-            raise FrameError(
-                f"worker {endpoint.address} answered shard {spec.index} "
-                f"with {kind!r}, expected a spill announcement"
-            )
-        expected_size, expected_crc = info.get("size"), info.get("crc32")
-        if not (isinstance(expected_size, int) and isinstance(expected_crc, int)):
-            raise FrameError(
-                f"worker {endpoint.address} announced shard {spec.index}'s spill "
-                f"without an integer size and crc32 ({info!r:.120})"
-            )
+
+        def received(handle: BinaryIO):
+            while True:
+                frame = read_frame(sock, what="spill frame")
+                message = decode_frame(frame, what="spill frame")
+                if message_kind(message, dict) == "error":
+                    info = message[1]
+                    raise RemoteShardError(
+                        f"shard {spec.index} failed on worker {endpoint.address}: "
+                        f"{info.get('error')}",
+                        remote_type=str(info.get("type", "Exception")),
+                        retryable=bool(info.get("retryable", False)),
+                        remote_traceback=str(info.get("traceback", "")),
+                    )
+                handle.write(frame)
+                yield message
+
         spill_path = job.spill_paths[spec.index]
         temp_path = f"{spill_path}.rx-{attempt}"
-        received = 0
-        crc = 0
+        manifest: Dict[str, Any] = {}
         try:
             with open(temp_path, "wb") as handle:
-                while True:
-                    kind, body = _recv_reply(sock, "spill frame")
-                    if kind == "data":
-                        handle.write(body)
-                        crc = zlib.crc32(body, crc)
-                        received += len(body)
-                        continue
-                    if kind == "done":
-                        break
-                    if kind == "error":
-                        raise RemoteShardError(
-                            f"shard {spec.index} failed mid-stream on worker "
-                            f"{endpoint.address}: {body.get('error')}",
-                            remote_type=str(body.get("type", "Exception")),
-                            retryable=bool(body.get("retryable", False)),
-                            remote_traceback=str(body.get("traceback", "")),
-                        )
-                    raise FrameError(
-                        f"unexpected {kind!r} frame inside shard "
-                        f"{spec.index}'s spill stream"
-                    )
-            if received != expected_size or (crc & 0xFFFFFFFF) != expected_crc:
-                raise FrameError(
-                    f"shard {spec.index} spill stream from {endpoint.address} "
-                    f"does not match its announcement "
-                    f"({received}/{expected_size} bytes, crc mismatch: "
-                    f"{(crc & 0xFFFFFFFF) != expected_crc})"
+                batches = check_spill(
+                    received(handle),
+                    plan_fingerprint=job.fingerprint,
+                    shard_index=spec.index,
+                    where=f"shard {spec.index}'s stream from {endpoint.address}",
+                    manifest_out=manifest,
                 )
+                for _batch in batches:
+                    pass
             os.replace(temp_path, spill_path)
+        except ShardError as error:
+            raise FrameError(str(error)) from error
         finally:
             if os.path.exists(temp_path):
                 os.remove(temp_path)
-        # The transport-level CRCs guard the wire; this full replay holds the
-        # *content* to the same ShardError contract as a locally-written spill.
-        return validate_spill(
-            spill_path, plan_fingerprint=job.fingerprint, shard_index=spec.index
-        )
+        return manifest

@@ -16,23 +16,24 @@ driver.  The conversation per connection (docs/distributed.md#wire-protocol):
 2. ``("shard", {spec, source, chunk_size, faults, attempt, policy})`` —
    the worker runs :func:`~repro.runtime.sharded.execute_shard` over the
    shard's record window into a *local temporary spill file* (full fused
-   map-stage reuse: per-shard dedup, namespaced surrogate keys, framed
-   fingerprint-stamped spill), then streams the finished file back as a
-   ``("spill", {size, crc32, records})`` announcement followed by
-   ``("data", bytes)`` frames and a ``("done", {})`` terminator.  Failures
-   travel back as ``("error", {type, error, retryable, traceback})``,
-   classified with the driver's own shipped
+   map-stage reuse: per-shard dedup, namespaced surrogate keys), then sends
+   that file's frames — ``("begin", header)``, ``("rows", table, rows)`` ×
+   N, ``("end", manifest)`` — exactly as they are on disk.  A failure
+   travels back instead as ``("error", {type, error, retryable,
+   traceback})``, classified with the driver's own shipped
    :class:`~repro.runtime.supervisor.RetryPolicy` so both sides agree on
    what is worth retrying.
 
-The worker holds no reducer state and writes nothing outside its scratch
-directory: every completed shard is fully accounted for by the spill bytes
-it streams back, which the driver re-validates end to end before trusting
-them.  Plans and their compiled executions are cached per fingerprint, so a
-fleet of shards under one plan compiles once per worker.
+Every request is held to its shape before it is read; a malformed frame
+closes its connection with :class:`~repro.runtime.transport.FrameError`
+and never the handler thread.  The worker holds no reducer state and writes
+nothing outside its scratch directory: every completed shard is fully
+accounted for by the spill frames it sends, which the driver validates as
+they arrive.  Plans and their compiled executions are cached per
+fingerprint, so a fleet of shards under one plan compiles once per worker.
 
 Wire-path fault injection (``stall`` / ``corrupt_frame`` / ``drop_conn``
-rules, docs/distributed.md#fault-injection) hooks into the streaming loop
+rules, docs/distributed.md#fault-injection) fires on the first spill frame
 via :meth:`FaultContext.wire_frame`; a ``kill`` rule in a remote worker
 terminates the whole daemon with ``os._exit`` — remote workers *are* the
 worker process.
@@ -49,22 +50,21 @@ import socket
 import tempfile
 import threading
 import traceback
-import zlib
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from .faults import FaultContext, FaultPlan
+from .plan import MigrationPlan
 from .supervisor import RetryPolicy
 from .transport import (
-    SPILL_FRAME_BYTES,
     WIRE_MAGIC,
     ConnectionLost,
     FrameError,
     TransportError,
-    encode_frame,
     format_address,
     parse_address,
-    recv_frame,
+    read_frame,
+    recv_pair,
     send_frame,
 )
 
@@ -168,10 +168,7 @@ class ShardWorker:
         fingerprint: Optional[str] = None
         try:
             while not self._stopping.is_set():
-                try:
-                    kind, body = recv_frame(conn, what="request")
-                except ConnectionLost:
-                    return  # driver went away between shards: normal
+                kind, body = recv_pair(conn, "request")
                 if kind == "hello":
                     fingerprint = self._handshake(conn, body)
                     if fingerprint is None:
@@ -191,7 +188,9 @@ class ShardWorker:
                 else:
                     raise FrameError(f"unexpected {kind!r} request frame")
         except (TransportError, OSError):
-            return  # connection-level trouble: drop it, driver re-dispatches
+            # The driver left between shards, the connection broke, or a frame
+            # was malformed: drop the connection; the driver re-dispatches.
+            return
         finally:
             try:
                 conn.close()
@@ -225,7 +224,7 @@ class ShardWorker:
         send_frame(conn, ("ready", {"magic": WIRE_MAGIC, "have_plan": have_plan}))
         if have_plan:
             return fingerprint
-        kind, plan = recv_frame(conn, what="plan")
+        kind, plan = recv_pair(conn, "plan", MigrationPlan)
         if kind != "plan":
             raise FrameError(f"expected a plan frame after ready, got {kind!r}")
         # The fingerprint is recomputed from the *received* bytes: the driver
@@ -258,25 +257,32 @@ class ShardWorker:
     ) -> None:
         from .sharded import ShardSpec, execute_shard
 
+        spec, chunk_size = body.get("spec"), body.get("chunk_size")
+        attempt = body.get("attempt", 1)
+        if not (isinstance(spec, tuple) and len(spec) == 3) or not all(
+            isinstance(value, int) for value in (*spec, chunk_size, attempt)
+        ):
+            raise FrameError(
+                f"malformed shard request (spec {spec!r:.60}, chunk_size "
+                f"{chunk_size!r:.20}, attempt {attempt!r:.20})"
+            )
         with self._lock:
             plan, executions = self._plans[fingerprint]
-        index, start, stop = body["spec"]
-        spec = ShardSpec(index=index, start=start, stop=stop)
-        attempt = int(body.get("attempt") or 1)
+        index, start, stop = spec
         policy = body.get("policy")
         if not isinstance(policy, RetryPolicy):
             policy = RetryPolicy()
-        faults = FaultPlan.parse(body["faults"]) if body.get("faults") else None
         scratch = self._scratch or tempfile.gettempdir()
         spill_path = os.path.join(
             scratch, f"shard-{index:05d}-a{attempt}-{threading.get_ident()}.spill"
         )
         try:
+            faults = FaultPlan.parse(body["faults"]) if body.get("faults") else None
             execute_shard(
                 plan,
-                body["source"],
-                spec,
-                chunk_size=int(body["chunk_size"]),
+                body.get("source"),
+                ShardSpec(index=index, start=start, stop=stop),
+                chunk_size=chunk_size,
                 spill_path=spill_path,
                 plan_fingerprint=fingerprint,
                 executions=executions,
@@ -303,34 +309,20 @@ class ShardWorker:
             else None
         )
         try:
-            self._stream_spill(conn, spill_path, context)
-            self.shards_served += 1
+            self._forward_spill(conn, spill_path, context)
         finally:
             if os.path.exists(spill_path):
                 os.remove(spill_path)
 
-    def _stream_spill(
-        self,
-        conn: socket.socket,
-        spill_path: str,
-        context: Optional[FaultContext],
+    def _forward_spill(
+        self, conn: socket.socket, spill_path: str, context: Optional[FaultContext]
     ) -> None:
-        size = os.path.getsize(spill_path)
-        crc = 0
+        """Send the spill's frames as they are on disk: the spill *is* the
+        reply.  The wire-fault hooks fire on the first frame."""
         with open(spill_path, "rb") as handle:
-            while True:
-                piece = handle.read(1 << 20)
-                if not piece:
-                    break
-                crc = zlib.crc32(piece, crc)
-        send_frame(conn, ("spill", {"size": size, "crc32": crc & 0xFFFFFFFF}))
-        frame_index = 0
-        with open(spill_path, "rb") as handle:
-            while True:
-                piece = handle.read(SPILL_FRAME_BYTES)
-                if not piece:
-                    break
-                frame = encode_frame(("data", piece))
+            frame_index = 0
+            while handle.peek(1):
+                frame = read_frame(handle, what="spill frame")
                 action = context.wire_frame(frame_index) if context else None
                 if action == "corrupt":
                     # Flip the last payload byte *after* the CRC was stamped:
@@ -343,9 +335,12 @@ class ShardWorker:
                     conn.sendall(frame[: max(1, len(frame) // 2)])
                     conn.close()
                     raise ConnectionLost("injected drop_conn severed the stream")
+                if not handle.peek(1):
+                    # Counted before the end frame leaves: a driver that has
+                    # the whole spill also sees the count.
+                    self.shards_served += 1
                 conn.sendall(frame)
                 frame_index += 1
-        send_frame(conn, ("done", {}))
 
 
 def run_worker(

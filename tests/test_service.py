@@ -126,10 +126,6 @@ def test_checkpoint_fresh_begin_clears_leftover_spills(tmp_path):
     assert completed == {}
     assert not (directory / "shard-00000.spill").exists()
     assert (directory / CHECKPOINT_MANIFEST_NAME).exists()
-    checkpoint.mark_complete(0, {"shard": 0, "chunks": 1})
-    assert ShardCheckpoint(str(directory)).completed_indices() == {
-        0: {"shard": 0, "chunks": 1}
-    }
     checkpoint.finish()
     assert list(directory.iterdir()) == []
 

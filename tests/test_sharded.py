@@ -9,7 +9,6 @@ execution-mode flag validation.
 
 import json
 import os
-import pickle
 import tempfile
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
@@ -38,6 +37,7 @@ from repro.runtime.cli import main as cli_main
 from repro.runtime.plan import TablePlan
 from repro.runtime.service import CHECKPOINT_MANIFEST_NAME, ShardCheckpoint
 from repro.runtime.sharded import (
+    _SPILL_MAGIC,
     ShardSpec,
     SpillWriter,
     _spill_path,
@@ -46,6 +46,7 @@ from repro.runtime.sharded import (
     partition_records,
     validate_spill,
 )
+from repro.runtime.transport import encode_frame
 from repro.runtime.streaming import (
     DocumentSetSource,
     JSONSource,
@@ -342,17 +343,55 @@ def test_spill_missing_and_foreign_files(tmp_path):
         list(iter_spill(str(garbage), plan_fingerprint="x", shard_index=0))
 
 
-def test_spill_manifest_count_mismatch(tmp_path):
+def test_every_flipped_byte_and_truncation_is_a_shard_error(tmp_path):
+    """Each frame's CRC covers its payload and the framing covers the rest:
+    no single-byte change and no truncation of a spill replays, or escapes
+    as anything but ShardError."""
+    path = str(tmp_path / "s.spill")
+    writer = SpillWriter(path, 0, "fp0", batch_rows=2)
+    writer.write_rows("t", [("Alice Smith 7",), ("b",), ("c",)])
+    writer.finish(chunks=1, records=3)
+    payload = open(path, "rb").read()
+    assert [rows for _, rows in iter_spill(path, plan_fingerprint="fp0", shard_index=0)]
+    damaged = [payload[:cut] for cut in range(len(payload))]
+    for position in range(len(payload)):
+        for mask in (0x01, 0xFF):
+            flipped = bytearray(payload)
+            flipped[position] ^= mask
+            damaged.append(bytes(flipped))
+    for data in damaged:
+        open(path, "wb").write(data)
+        with pytest.raises(ShardError):
+            list(iter_spill(path, plan_fingerprint="fp0", shard_index=0))
+        with pytest.raises(ShardError):
+            validate_spill(path, plan_fingerprint="fp0", shard_index=0)
+
+
+def test_old_format_spill_is_refused(tmp_path):
+    """A spill of the earlier bare-pickle format is refused, not misread."""
+    import pickle
+
     path = str(tmp_path / "s.spill")
     with open(path, "wb") as handle:
         pickle.dump(
             ("begin", {"magic": "repro-shard-spill/1", "shard": 0, "plan_fingerprint": "fp0"}),
             handle,
         )
-        pickle.dump(("rows", "t", [("a",)]), handle)
-        pickle.dump(
-            ("end", {"shard": 0, "batches": 1, "per_table_rows": {"t": 5}}), handle
-        )
+        pickle.dump(("end", {"shard": 0, "chunks": 0, "batches": 0, "per_table_rows": {}}), handle)
+    with pytest.raises(ShardError):
+        validate_spill(path, plan_fingerprint="fp0", shard_index=0)
+
+
+def test_spill_manifest_count_mismatch(tmp_path):
+    path = str(tmp_path / "s.spill")
+    with open(path, "wb") as handle:
+        handle.write(encode_frame(
+            ("begin", {"magic": _SPILL_MAGIC, "shard": 0, "plan_fingerprint": "fp0"})
+        ))
+        handle.write(encode_frame(("rows", "t", [("a",)])))
+        handle.write(encode_frame(
+            ("end", {"shard": 0, "chunks": 1, "batches": 1, "per_table_rows": {"t": 5}})
+        ))
     with pytest.raises(ShardError, match="do not match"):
         list(iter_spill(path, plan_fingerprint="fp0", shard_index=0))
 
@@ -921,6 +960,45 @@ def test_checkpoint_truncated_spill_is_reexecuted(dblp_plan, tmp_path):
     assert report.shards_resumed == 1  # only the intact spill survived
     assert report.shards_executed == 3
     assert _canonical(dblp_plan, report.backend) == reference
+
+
+def test_checkpoint_corrupt_spill_is_reexecuted(dblp_plan, tmp_path):
+    """One flipped byte inside a checkpointed spill: resume re-executes that
+    shard, resumes the intact one, and matches an uninterrupted run."""
+    document = dblp.dataset(scale=8).generate(8)
+    reference = _whole_tree_reference(dblp_plan, document)
+    directory = str(tmp_path / "ckpt")
+    with pytest.raises(_Abort):
+        shard_execute(
+            dblp_plan, document, shards=4, workers=1, chunk_size=5,
+            checkpoint=ShardCheckpoint(directory), progress=_abort_after(2),
+        )
+    victim = _spill_path(directory, 1)
+    payload = bytearray(open(victim, "rb").read())
+    payload[len(payload) // 2] ^= 0xFF
+    open(victim, "wb").write(bytes(payload))
+    report = shard_execute(
+        dblp_plan, document, shards=4, workers=1, chunk_size=5,
+        checkpoint=ShardCheckpoint(directory), resume=True,
+    )
+    assert report.shards_resumed == 1
+    assert report.shards_executed == 3
+    assert _canonical(dblp_plan, report.backend) == reference
+
+
+def test_checkpoint_manifest_holds_only_run_parameters(dblp_plan, tmp_path):
+    document = dblp.dataset(scale=4).generate(4)
+    directory = str(tmp_path / "ckpt")
+    with pytest.raises(_Abort):
+        shard_execute(
+            dblp_plan, document, shards=2, workers=1, chunk_size=5,
+            checkpoint=ShardCheckpoint(directory), progress=_abort_after(1),
+        )
+    with open(os.path.join(directory, CHECKPOINT_MANIFEST_NAME)) as handle:
+        manifest = json.load(handle)
+    assert sorted(manifest) == [
+        "chunk_size", "kind", "plan_fingerprint", "records", "shards"
+    ]
 
 
 def test_checkpoint_resume_rejects_changed_parameters(dblp_plan, tmp_path):

@@ -36,6 +36,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends import ColumnarBackend
 from repro.runtime.cli import main as cli_main
+from repro.runtime.sharded import _SPILL_MAGIC
 from repro.runtime.supervisor import RetryPolicy
 from repro.runtime.transport import (
     FRAME_HEADER,
@@ -412,15 +413,21 @@ def _scripted_worker(replies):
         [("ready", {"magic": WIRE_MAGIC}, "extra")],
         [
             ("ready", {"magic": WIRE_MAGIC, "have_plan": True}),
-            ("spill", {"size": "12", "crc32": 0, "records": 1}),
+            ("rows", "article", [("a",)]),
+        ],
+        [
+            ("ready", {"magic": WIRE_MAGIC, "have_plan": True}),
+            ("begin", {"magic": _SPILL_MAGIC, "shard": 99, "plan_fingerprint": "x"}),
         ],
     ],
-    ids=["body-not-a-dict", "not-a-pair", "triple", "spill-size-not-int"],
+    ids=["body-not-a-dict", "not-a-pair", "triple", "rows-before-begin",
+         "begin-for-other-shard"],
 )
 def test_malformed_worker_reply_degrades_instead_of_hanging(dblp_plan, replies):
-    """A reply that is not a ``(kind, dict)`` pair is a FrameError.  It once
-    escaped as a plain ValueError/AttributeError that left the endpoint
-    marked busy, so the next shard waited for it forever."""
+    """A reply that is not a ``(kind, dict)`` pair, or a spill stream that
+    does not open with this shard's ``begin``, is a FrameError.  A malformed
+    reply once escaped as a plain ValueError/AttributeError that left the
+    endpoint marked busy, so the next shard waited for it forever."""
     document = dblp.dataset(scale=4).generate(4)
     address, stop = _scripted_worker(replies)
     raised = []
@@ -444,6 +451,54 @@ def test_malformed_worker_reply_degrades_instead_of_hanging(dblp_plan, replies):
     (error,) = raised
     assert isinstance(error, ShardDegradedError)
     assert "FrameError" in str(error)
+
+
+def test_malformed_request_frames_close_the_connection_not_the_worker(
+    dblp_plan, monkeypatch
+):
+    """A request that is not a ``(kind, dict)`` pair, a plan frame that is
+    not a plan, or a shard request with a malformed spec closes its
+    connection with a FrameError — no handler thread dies — and the same
+    worker then serves a valid shard."""
+    crashed = []
+    monkeypatch.setattr(threading, "excepthook", crashed.append)
+    fingerprint = dblp_plan.content_fingerprint()
+    conversations = [
+        ["not-a-pair"],
+        [("hello", "not-a-dict")],
+        [["plan"]],
+        [("hello", {"magic": WIRE_MAGIC, "fingerprint": fingerprint}), ["plan"]],
+        [
+            ("hello", {"magic": WIRE_MAGIC, "fingerprint": fingerprint}),
+            ("plan", dblp_plan),
+            ("shard", {"spec": "0:0:4", "source": None, "chunk_size": 4}),
+        ],
+        [
+            ("hello", {"magic": WIRE_MAGIC, "fingerprint": fingerprint}),
+            ("shard", {"spec": (0, 0, 4), "source": None, "chunk_size": "4"}),
+        ],
+    ]
+    document = dblp.dataset(scale=4).generate(4)
+    with ShardWorker() as worker:
+        for frames in conversations:
+            sock = socket.create_connection(parse_address(worker.address)[1], timeout=5)
+            try:
+                for frame in frames:
+                    send_frame(sock, frame)
+                # The worker answers what was well-formed, then hangs up.
+                with pytest.raises(ConnectionLost):
+                    while True:
+                        recv_frame(sock)
+            finally:
+                sock.close()
+        with SocketTransport([worker.address]) as transport:
+            report = shard_execute(
+                dblp_plan, document, shards=1, workers=1, chunk_size=4,
+                transport=transport,
+            )
+        assert worker.shards_served == 1
+    assert report.shards_failed == 0
+    assert crashed == []
 
 
 # --------------------------------------------------------------------------- #

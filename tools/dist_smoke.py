@@ -14,7 +14,11 @@ real processes and a real mid-run SIGKILL:
    surviving worker (``shards_retried >= 1``, ``shards_failed == 0``,
    ``transport == "socket"`` in the JSON report);
 5. assert ``repro verify`` passes over the produced database — the
-   redispatched run's target is complete and canonical.
+   redispatched run's target is complete and canonical;
+6. run a second, kill-free migrate on the surviving worker with one
+   corrupted spill frame (shard 0) and one connection cut mid-frame
+   (shard 1) injected on the first attempt, and assert it succeeds with
+   exactly those two shards retried and a target that verifies.
 
 Usage::
 
@@ -86,6 +90,44 @@ def run_cli(args, deadline, **popen_kwargs):
         text=True,
         **popen_kwargs,
     )
+
+
+def verify_target(spec_path, output, deadline, what):
+    verify = run_cli(
+        ["verify", "--spec", spec_path, "--backend", "sqlite", "--output", output],
+        deadline,
+    )
+    if verify.returncode != 0:
+        raise SmokeFailure(
+            f"verify failed on the {what} target:\n{verify.stdout}{verify.stderr}"
+        )
+    log(f"verification passed on the {what} target")
+
+
+def wire_fault_run(spec_path, address, work_dir, deadline):
+    """A kill-free migrate on one worker whose first attempts at shards 0
+    and 1 meet a corrupted frame and a cut connection."""
+    output = os.path.join(work_dir, "wire-faults.db")
+    report_path = os.path.join(work_dir, "wire-faults.json")
+    migrate = run_cli(
+        ["migrate", "--spec", spec_path, "--shards", "4", "--chunk-size", "2",
+         "--remote-workers", address,
+         "--backend", "sqlite", "--output", output,
+         "--inject-faults", "corrupt_frame:shard=0:attempt=1,drop_conn:shard=1:attempt=1",
+         "--report-json", report_path],
+        deadline,
+    )
+    if migrate.returncode != 0:
+        raise SmokeFailure(
+            f"wire-fault migrate exited {migrate.returncode}:\n"
+            f"{migrate.stdout}{migrate.stderr}"
+        )
+    with open(report_path, "r", encoding="utf-8") as handle:
+        report = json.load(handle)
+    if report.get("shards_retried") != 2 or report.get("shards_failed"):
+        raise SmokeFailure(f"expected exactly 2 retried shards and none failed: {report}")
+    log("corrupted frame and cut connection both retried (shards_retried=2)")
+    verify_target(spec_path, output, deadline, "wire-fault")
 
 
 def main(argv=None):
@@ -184,17 +226,8 @@ def main(argv=None):
                 f"{report['transport']} transport"
             )
 
-            verify = run_cli(
-                ["verify", "--spec", spec_path, "--backend", "sqlite",
-                 "--output", output],
-                deadline,
-            )
-            if verify.returncode != 0:
-                raise SmokeFailure(
-                    f"verify failed on the redispatched target:\n{verify.stdout}"
-                    f"{verify.stderr}"
-                )
-            log("verification passed on the redispatched target")
+            verify_target(spec_path, output, deadline, "redispatched")
+            wire_fault_run(spec_path, survivor_addr, work_dir, deadline)
         finally:
             for process in (victim, survivor):
                 if process.poll() is None:
@@ -202,7 +235,7 @@ def main(argv=None):
             victim.wait(timeout=10)
             survivor.wait(timeout=10)
 
-    log("OK distributed smoke: kill survived, redispatch verified")
+    log("OK distributed smoke: kill survived, redispatch and wire faults verified")
     return 0
 
 
