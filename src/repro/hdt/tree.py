@@ -213,10 +213,10 @@ class HDT:
         """A stable hex digest of the tree's content (see :meth:`fingerprint_items`).
 
         Used as the content address of every on-disk artifact derived from a
-        document: the runtime's spec-hash plan cache and the incremental
-        synthesis :class:`~repro.runtime.context_store.ContextStore` both key
-        their entries by it.  Cached like the other whole-tree indexes (one
-        incremental learn consults it several times); call
+        document: the runtime's spec store
+        (:class:`~repro.runtime.context_store.ContextStore`) keys its spec
+        snapshots by it.  Cached like the other whole-tree indexes (one
+        learn consults it several times); call
         :meth:`invalidate_indexes` after mutating the tree in place.
 
         Examples

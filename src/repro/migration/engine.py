@@ -275,11 +275,9 @@ class MigrationEngine:
     :class:`~repro.synthesis.synthesizer.Synthesizer`), again with
     byte-identical results.
 
-    ``context`` optionally seeds the engine's synthesizer with a shared (or
-    rehydrated) :class:`~repro.synthesis.context.SynthesisContext`; worker
-    processes are seeded from the same caches.  Together with the ``reuse``
-    arguments of :meth:`learn` this is the substrate of incremental
-    learning — see :func:`repro.runtime.incremental.learn_incremental`.
+    The ``reuse`` arguments of :meth:`learn` skip synthesis for tables whose
+    cached programs are still valid — the substrate of
+    :func:`repro.runtime.incremental.learn_incremental`.
     """
 
     def __init__(
@@ -287,11 +285,10 @@ class MigrationEngine:
         config: Optional[SynthesisConfig] = None,
         *,
         jobs: int = 1,
-        context=None,
     ) -> None:
         self.config = config if config is not None else SynthesisConfig.for_migration()
         self.workers = resolve_jobs(jobs)
-        self.synthesizer = Synthesizer(self.config, context=context)
+        self.synthesizer = Synthesizer(self.config)
 
     # ------------------------------------------------------------ synthesis
     def learn(
@@ -369,10 +366,7 @@ class MigrationEngine:
         ]
         results: Dict[str, SynthesisResult] = {}
         with synthesis_pool(
-            [spec.example_tree],
-            self.config,
-            self.synthesizer.context,
-            min(self.workers, len(tables)),
+            [spec.example_tree], self.config, min(self.workers, len(tables))
         ) as pool:
             for name, result in pool.map(_synthesize_table_worker, payloads):
                 results[name] = result

@@ -7,15 +7,14 @@ ROADMAP's north star asks for:
 
 * :mod:`repro.runtime.plan` — the :class:`MigrationPlan` artifact
   (JSON-serializable schema + per-table programs + key rules);
-* :mod:`repro.runtime.plan_cache` — on-disk caching keyed by a spec
-  fingerprint, so synthesis runs once per distinct spec;
-* :mod:`repro.runtime.context_store` — content-addressed persistence of
-  synthesis caches and spec snapshots, the substrate of incremental
-  learning;
+* :mod:`repro.runtime.context_store` — the learn cache: spec snapshots
+  (schema, example rows, learned plan) on disk, keyed by the spec and
+  configuration fingerprints, so synthesis runs once per distinct spec;
 * :mod:`repro.runtime.spec_diff` — the diff layer deciding, per table of an
   edited spec, whether the cached program and key rules are still valid;
-* :mod:`repro.runtime.incremental` — :func:`learn_incremental`: re-synthesize
-  only the tables a spec edit affected, byte-identical to a cold learn;
+* :mod:`repro.runtime.incremental` — :func:`learn_incremental`, the one
+  learn path: an exact hit, else re-synthesize only the tables a spec edit
+  affected, byte-identical to a cold learn;
 * :mod:`repro.runtime.executor` — the one execution kernel
   (:func:`~repro.runtime.executor.run_chunk`) and backend-pluggable
   whole-tree execution over it;
@@ -53,17 +52,18 @@ ROADMAP's north star asks for:
 * :mod:`repro.runtime.cli` — ``python -m repro learn|run|migrate|verify|
   serve|worker``: argparse and printing over that API;
 * :mod:`repro.runtime.service` — the ``repro serve`` daemon: HTTP/JSON jobs
-  over the same API, with warm plan caches, per-job shard checkpoints and
+  over the same API, with a warm plan memo, per-job shard checkpoints and
   resume-after-crash semantics (see ``docs/service.md``).
 
 The full architecture is documented in ``docs/runtime.md``.
 
 Example — learn once, run many, then evolve the schema incrementally:
 
+>>> import tempfile
 >>> from repro.datasets import dblp
 >>> from repro.runtime import ContextStore, execute_plan, learn_incremental
 >>> bundle = dblp.dataset(scale=2)
->>> store = ContextStore("/tmp/repro-ctx-doc")
+>>> store = ContextStore(tempfile.mkdtemp())
 >>> plan, report = learn_incremental(bundle.migration_spec(), store)
 >>> report.tables_total
 9
@@ -93,10 +93,9 @@ from .executor import (
     execute_plan,
     stream_table_rows,
 )
-from .context_store import ContextStore, SpecSnapshot
+from .context_store import ContextStore, SpecSnapshot, spec_fingerprint
 from .incremental import IncrementalReport, learn_incremental
 from .plan import MigrationPlan, TablePlan
-from .plan_cache import PlanCache, spec_fingerprint
 from .run import RunDefaults, acquire_plan, resolve_run, run_plan, verify_target
 from .spec import Spec, UsageError
 from .backends.null import NullBackend
@@ -196,7 +195,6 @@ __all__ = [
     "stream_table_rows",
     "MigrationPlan",
     "TablePlan",
-    "PlanCache",
     "spec_fingerprint",
     "Spec",
     "UsageError",

@@ -3,8 +3,9 @@
 Six subcommands cover the learn/run split that makes synthesized programs
 durable artifacts, plus the operational surface around it:
 
-* ``learn``   — synthesize a :class:`MigrationPlan` from a spec (cached on
-  disk keyed by the spec fingerprint) and optionally save it to a file;
+* ``learn``   — synthesize a :class:`MigrationPlan` from a spec through the
+  spec store (only the tables an edit affected are re-synthesized) and
+  optionally save it to a file;
 * ``run``     — execute an existing plan on a dataset, no synthesis;
 * ``migrate`` — learn (or load from cache) and run in one invocation;
 * ``verify``  — re-check a finished target: row counts, primary-key and
@@ -34,7 +35,7 @@ from typing import List, Optional
 
 from ..dsl.pretty import pretty_program
 from ..dsl.serialize import SerializationError
-from ..migration.engine import MigrationEngine, MigrationError
+from ..migration.engine import MigrationError
 from ..relational.database import IntegrityError
 from ..relational.schema import SchemaError
 from .backends import (
@@ -44,10 +45,10 @@ from .backends import (
     SQLiteBackendError,
 )
 from .backends.columnar import FILE_FORMATS
+from .context_store import DEFAULT_CACHE_DIR
 from .executor import ExecutionReport
 from .faults import FaultError
-from .plan import MigrationPlan
-from .plan_cache import DEFAULT_CACHE_DIR, PlanCache
+from .incremental import IncrementalReport
 from .run import (
     RUN_OPTIONS,
     acquire_plan,
@@ -68,46 +69,29 @@ from .verify import VerificationError
 
 
 def _plan(args, spec: Spec, *, allow_learn: bool):
-    """``(plan, provenance)`` for this invocation's plan/cache/learn flags."""
+    """``(plan, provenance)`` for this invocation's plan/cache/jobs flags."""
     cache_dir = args.cache_dir or spec.get("cache_dir", DEFAULT_CACHE_DIR)
-    incremental = bool(args.incremental or spec.get("incremental"))
+    verbose = getattr(args, "verbose", False)
+
+    def say(report: IncrementalReport) -> None:
+        # learn --verbose: per-table synthesizer diagnostics (universe size
+        # per candidate ψ, phase timings, candidate-cache hit rates), so a
+        # slow table is attributable to a phase.
+        if verbose:
+            for name, stats in sorted(report.synthesis_stats.items()):
+                print(f"synthesis diagnostics for {name}:")
+                for line in stats.describe().splitlines():
+                    print(f"  {line}")
+        print(report.describe())
+
     return acquire_plan(
         spec,
         # --plan is relative to the working directory, not to the spec file.
-        {
-            "plan": args.plan and os.path.abspath(args.plan),
-            "jobs": args.jobs,
-            "incremental": incremental,
-        },
-        # --incremental replaces the all-or-nothing plan cache with the
-        # context store: an exact re-learn reuses every table from there.
-        plan_cache=None if args.no_cache or incremental else PlanCache(cache_dir),
-        context_dir=args.context_cache
-        or spec.get("context_cache")
-        or os.path.join(cache_dir, "context"),
+        {"plan": args.plan and os.path.abspath(args.plan), "jobs": args.jobs},
+        store_dir=None if args.no_cache else cache_dir,
         allow_learn=allow_learn,
-        learn=_learn_verbose if getattr(args, "verbose", False) else MigrationPlan.learn,
-        say=print,
+        say=say,
     )
-
-
-def _learn_verbose(migration_spec, jobs: int) -> MigrationPlan:
-    """``learn --verbose``: synthesize, printing per-table diagnostics.
-
-    The diagnostics come from :class:`~repro.synthesis.synthesizer.SynthesisStats`
-    — universe size per candidate ψ, per-phase wall-clock (universe /
-    bitmatrix / cover) and candidate-cache hit rates — and are printed before
-    the plan summary so slow tables are attributable to a phase.
-    """
-    programs, _ = MigrationEngine(jobs=jobs).learn(migration_spec)
-    for name in sorted(programs):
-        stats = programs[name].synthesis.stats
-        if stats is None:
-            continue
-        print(f"synthesis diagnostics for {name}:")
-        for line in stats.describe().splitlines():
-            print(f"  {line}")
-    return MigrationPlan.from_programs(migration_spec.schema, programs)
 
 
 def _shards_value(value: str):
@@ -362,31 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
         "target schema, an example document and per-table example rows; "
         "`learn` synthesizes a durable migration plan from them, `run` "
         "executes a plan against full datasets, `migrate` does both.",
-        epilog="Spec-file format, incremental learning and recipes: docs/cli.md",
+        epilog="Spec-file format, the spec store and recipes: docs/cli.md",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--spec", required=True, help="path to the JSON spec file")
         sub.add_argument("--plan", help="path to an existing plan JSON (skips synthesis)")
-        sub.add_argument("--no-cache", action="store_true", help="bypass the plan cache")
-        sub.add_argument("--cache-dir", help="plan cache directory (default: .repro-cache)")
+        sub.add_argument("--no-cache", action="store_true", help="learn cold, without the spec store")
+        sub.add_argument("--cache-dir", help="spec store directory (default: .repro-cache)")
         sub.add_argument(
             "--jobs",
             type=int,
             help="parallel per-table synthesis processes (0 = CPU count, default 1)",
-        )
-        sub.add_argument(
-            "--incremental",
-            action="store_true",
-            help="reuse persisted synthesis state across spec edits: diff the "
-            "spec against the context store and re-synthesize only the "
-            "affected tables",
-        )
-        sub.add_argument(
-            "--context-cache",
-            help="context store directory for --incremental "
-            "(default: <cache-dir>/context)",
         )
 
     def add_execution(sub: argparse.ArgumentParser) -> None:
@@ -483,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = subparsers.add_parser(
         "learn",
-        help="synthesize and save a migration plan "
-        "(--incremental reuses state across spec edits)",
+        help="synthesize and save a migration plan (only the tables a spec "
+        "edit affected are re-synthesized)",
     )
     add_common(learn)
     learn.add_argument("--plan-out", help="write the learned plan to this file")
@@ -538,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--state-dir",
         required=True,
-        help="durable daemon state: job records, plan cache, checkpoints, outputs",
+        help="durable daemon state: job records, spec store, checkpoints, outputs",
     )
     serve.add_argument(
         "--port",

@@ -1,30 +1,36 @@
-"""Content-addressed on-disk store for incremental synthesis state.
+"""The learn cache: an on-disk store of spec snapshots.
 
-Sits next to the spec-hash plan cache and persists the two artifacts the
-plan cache cannot express:
+Every learn goes through this store — ``repro learn|migrate|verify``, a
+service job, or a library call to
+:func:`~repro.runtime.incremental.learn_incremental`.  A **spec snapshot** is
+one completed learn: the spec's learnable content (schema, example rows) plus
+the learned plan, addressed by the spec fingerprint and the configuration
+fingerprint, and bucketed by the example tree's fingerprint.  A learn asks
+the store twice:
 
-* **contexts** — serialized :class:`~repro.synthesis.context.SynthesisContext`
-  caches (:mod:`repro.synthesis.serialize`), addressed by the content
-  fingerprints of their example trees plus the configuration fingerprint.
-  A later learn over the *same document* rehydrates per-tree facts, learned
-  column-extractor lists, χi sets and predicate universes even when the
-  target schema changed — exactly the caches that survive a spec edit.
-* **spec snapshots** — the (schema, example rows, learned plan) of every
-  completed learn, addressed by the spec fingerprint and bucketed by the
-  example tree's fingerprint.  These are what the diff layer
-  (:mod:`repro.runtime.spec_diff`) compares an edited spec against to decide
-  which cached table programs are still valid.
+* **exact hit** — :meth:`ContextStore.load_snapshot` reads the one file
+  :meth:`ContextStore.snapshot_path` names for (spec, configuration); its
+  plan is the answer, with no synthesis and no diff against other
+  snapshots;
+* **near hit** — :meth:`ContextStore.best_base` diffs the spec against every
+  snapshot of the same example document and configuration
+  (:mod:`repro.runtime.spec_diff`) and picks the one whose table programs
+  and key rules are most reusable.
 
-Like the plan cache, the store is failure-oblivious: corrupt or unreadable
-entries read as misses (and are removed), writes go through a
-write-then-rename so interrupted runs never leave truncated files, and the
-worst possible outcome of any store problem is one redundant synthesis.
+Synthesis learned under other search bounds is never reused, and the full
+dataset never participates in any fingerprint, so one snapshot serves any
+number of documents with the learned shape.
 
-Example — the interactive schema-design loop this store enables::
+The store is failure-oblivious: corrupt or unreadable entries read as
+misses (and are removed), writes go through a write-then-rename so an
+interrupted run never leaves a truncated file, and the worst possible
+outcome of any store problem is one redundant synthesis.
+
+Example — the interactive schema-design loop this store serves::
 
     from repro.runtime import ContextStore, learn_incremental
 
-    store = ContextStore(".repro-cache/context")
+    store = ContextStore(".repro-cache")
     plan, report = learn_incremental(spec, store)          # cold: full learn
     # ... user adds one table to the spec ...
     plan, report = learn_incremental(edited, store)        # warm: 1 table
@@ -37,10 +43,9 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dsl.serialize import (
-    SerializationError,
     scalar_from_json,
     scalar_to_json,
     schema_from_json,
@@ -50,20 +55,30 @@ from ..hdt.tree import HDT
 from ..migration.engine import MigrationSpec
 from ..relational.schema import DatabaseSchema
 from ..synthesis.config import SynthesisConfig
-from ..synthesis.context import SynthesisContext
-from ..synthesis.serialize import (
-    config_fingerprint,
-    deserialize_context,
-    serialize_context,
-)
+from ..synthesis.serialize import config_fingerprint
 from .durable import write_durably
 from .plan import MigrationPlan
-from .plan_cache import DEFAULT_CACHE_DIR, spec_fingerprint
 from .spec_diff import SpecDiff, diff_specs
 
-DEFAULT_CONTEXT_DIR = os.path.join(DEFAULT_CACHE_DIR, "context")
+DEFAULT_CACHE_DIR = ".repro-cache"
 
 SNAPSHOT_FORMAT_VERSION = 1
+
+
+def spec_fingerprint(spec: MigrationSpec) -> str:
+    """A stable hex digest identifying a migration spec's *learnable content*:
+    target schema, example document and example rows."""
+    digest = hashlib.sha256()
+    digest.update(
+        json.dumps(schema_to_json(spec.schema), sort_keys=True).encode("utf-8")
+    )
+    for item in spec.example_tree.fingerprint_items():
+        digest.update(item.encode("utf-8"))
+        digest.update(b"\n")
+    for example in spec.table_examples:
+        digest.update(example.table.encode("utf-8"))
+        digest.update(repr(example.rows).encode("utf-8"))
+    return digest.hexdigest()
 
 
 @dataclass
@@ -79,70 +94,31 @@ class SpecSnapshot:
     path: str = ""
 
 
-def _atomic_write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    write_durably(path, lambda handle: handle.write(text + "\n"))
-
-
 class ContextStore:
-    """A directory of context payloads and spec snapshots.
+    """A directory of spec snapshots.
 
     Layout::
 
-        <dir>/contexts/<context key>.ctx.json
-        <dir>/specs/<tree fp prefix>/<spec fp>.spec.json
+        <dir>/specs/<tree fp prefix>/<spec fp>.<config fp prefix>.spec.json
+
+    Examples
+    --------
+    >>> import tempfile
+    >>> from repro.datasets import dblp
+    >>> from repro.runtime import learn_incremental
+    >>> spec = dblp.dataset(scale=2).migration_spec()
+    >>> config = SynthesisConfig.for_migration()
+    >>> store = ContextStore(tempfile.mkdtemp())
+    >>> store.load_snapshot(spec, config) is None          # cold: a miss
+    True
+    >>> plan, report = learn_incremental(spec, store, config=config)
+    >>> store.load_snapshot(spec, config).plan.tables.keys() == plan.tables.keys()
+    True
     """
 
-    def __init__(self, directory: str = DEFAULT_CONTEXT_DIR) -> None:
+    def __init__(self, directory: str = DEFAULT_CACHE_DIR) -> None:
         self.directory = directory
 
-    # ------------------------------------------------------------- contexts
-    def context_key(self, trees: Sequence[HDT], config: SynthesisConfig) -> str:
-        """The content address of a context: its trees plus the search bounds."""
-        digest = hashlib.sha256()
-        for fingerprint in sorted(t.content_fingerprint() for t in trees):
-            digest.update(fingerprint.encode("utf-8"))
-        digest.update(config_fingerprint(config).encode("utf-8"))
-        return digest.hexdigest()
-
-    def context_path(self, key: str) -> str:
-        return os.path.join(self.directory, "contexts", f"{key}.ctx.json")
-
-    def load_context(
-        self, trees: Sequence[HDT], config: SynthesisConfig
-    ) -> Optional[SynthesisContext]:
-        """The stored context for these trees and bounds, or ``None`` on a miss."""
-        path = self.context_path(self.context_key(trees, config))
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            return deserialize_context(payload, trees)
-        except (OSError, ValueError, SerializationError):
-            # Unreadable, not JSON, or not a current-format context: a miss.
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-
-    def store_context(self, context: SynthesisContext) -> Optional[str]:
-        """Persist a context under its content address; returns the file path.
-
-        A context that has seen no trees, or is not bound to a configuration,
-        has nothing worth addressing — ``None`` is returned and nothing is
-        written.
-        """
-        trees = context.trees()
-        config = context.config
-        if not trees or config is None:
-            return None
-        path = self.context_path(self.context_key(trees, config))
-        _atomic_write(path, json.dumps(serialize_context(context), sort_keys=True))
-        return path
-
-    # ------------------------------------------------------------ snapshots
     def _specs_dir(self, tree_fingerprint: str) -> str:
         return os.path.join(self.directory, "specs", tree_fingerprint[:16])
 
@@ -159,7 +135,7 @@ class ContextStore:
     def record_spec(
         self, spec: MigrationSpec, plan: MigrationPlan, config: SynthesisConfig
     ) -> str:
-        """Snapshot a completed learn for future diffing; returns the path."""
+        """Snapshot a completed learn; returns the path."""
         payload = {
             "kind": "spec_snapshot",
             "version": SNAPSHOT_FORMAT_VERSION,
@@ -176,8 +152,23 @@ class ContextStore:
             "plan": plan.to_json(),
         }
         path = self.snapshot_path(spec, config)
-        _atomic_write(path, json.dumps(payload, sort_keys=True))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        text = json.dumps(payload, sort_keys=True)
+        write_durably(path, lambda handle: handle.write(text + "\n"))
         return path
+
+    def load_snapshot(
+        self, spec: MigrationSpec, config: SynthesisConfig
+    ) -> Optional[SpecSnapshot]:
+        """The exact hit: the snapshot of this very spec under this very
+        configuration, read from the one file :meth:`snapshot_path` names, or
+        ``None`` on a miss."""
+        path = self.snapshot_path(spec, config)
+        if not os.path.exists(path):
+            return None
+        return _read_snapshot(
+            path, spec.example_tree.content_fingerprint(), config_fingerprint(config)
+        )
 
     def snapshots_for(self, tree: HDT, config: SynthesisConfig) -> List[SpecSnapshot]:
         """Snapshots sharing the tree's fingerprint *and* the configuration,
@@ -186,51 +177,21 @@ class ContextStore:
         argument — "same task, same config → same program" — would not
         hold), so config mismatches are filtered here; snapshots without a
         recorded config (older format) are skipped the same way."""
-        directory = self._specs_dir(tree.content_fingerprint())
+        tree_fp = tree.content_fingerprint()
+        directory = self._specs_dir(tree_fp)
         if not os.path.isdir(directory):
             return []
-        tree_fp = tree.content_fingerprint()
         config_fp = config_fingerprint(config)
-        snapshots: List[SpecSnapshot] = []
         entries = sorted(
             (entry for entry in os.listdir(directory) if entry.endswith(".spec.json")),
             key=lambda entry: os.path.getmtime(os.path.join(directory, entry)),
             reverse=True,
         )
-        for entry in entries:
-            path = os.path.join(directory, entry)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                if payload.get("kind") != "spec_snapshot":
-                    raise ValueError("not a spec snapshot")
-                if payload.get("tree_fingerprint") != tree_fp:
-                    continue  # 16-char prefix collision: different document
-                if payload.get("config_fingerprint") != config_fp:
-                    continue  # learned under different search bounds
-                snapshots.append(
-                    SpecSnapshot(
-                        fingerprint=payload["spec_fingerprint"],
-                        tree_fingerprint=payload["tree_fingerprint"],
-                        config_fingerprint=payload["config_fingerprint"],
-                        schema=schema_from_json(payload["schema"]),
-                        examples={
-                            table: [
-                                tuple(scalar_from_json(value) for value in row)
-                                for row in rows
-                            ]
-                            for table, rows in payload["examples"].items()
-                        },
-                        plan=MigrationPlan.from_json(payload["plan"]),
-                        path=path,
-                    )
-                )
-            except Exception:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-        return snapshots
+        snapshots = (
+            _read_snapshot(os.path.join(directory, entry), tree_fp, config_fp)
+            for entry in entries
+        )
+        return [snapshot for snapshot in snapshots if snapshot is not None]
 
     def best_base(
         self, spec: MigrationSpec, config: SynthesisConfig
@@ -251,3 +212,36 @@ class ContextStore:
             if score > best_score:
                 best, best_score = (snapshot, diff), score
         return best
+
+
+def _read_snapshot(path: str, tree_fp: str, config_fp: str) -> Optional[SpecSnapshot]:
+    """The snapshot at ``path`` if it was learned on this tree under this
+    configuration.  An unreadable or malformed file is removed and reads as
+    a miss, like any other."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if payload.get("kind") != "spec_snapshot":
+            raise ValueError("not a spec snapshot")
+        if payload.get("tree_fingerprint") != tree_fp:
+            return None  # 16-char prefix collision: different document
+        if payload.get("config_fingerprint") != config_fp:
+            return None  # learned under different search bounds
+        return SpecSnapshot(
+            fingerprint=payload["spec_fingerprint"],
+            tree_fingerprint=payload["tree_fingerprint"],
+            config_fingerprint=payload["config_fingerprint"],
+            schema=schema_from_json(payload["schema"]),
+            examples={
+                table: [tuple(scalar_from_json(value) for value in row) for row in rows]
+                for table, rows in payload["examples"].items()
+            },
+            plan=MigrationPlan.from_json(payload["plan"]),
+            path=path,
+        )
+    except Exception:
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        return None

@@ -1,7 +1,7 @@
 """One durable write for the runtime's small records.
 
-Job records, checkpoint manifests, shard result sidecars, context-store
-entries and plan-cache entries are all replaced whole.  A reader must see
+Job records, checkpoint manifests, shard result sidecars and spec-store
+snapshots are all replaced whole.  A reader must see
 either the old file or the new one, also after a crash: a record that is
 empty or half written would be skipped by its loader, and the job it holds
 forgotten or the resume it guards started over.

@@ -1,35 +1,35 @@
-"""Incremental learning: synthesize only what a spec edit actually changed.
+"""The one learn path: synthesize only what the spec store cannot answer.
 
-This is the runtime's answer to the interactive schema-design loop.  A cold
-:func:`learn_incremental` behaves like :meth:`MigrationPlan.learn` and leaves
-two artifacts behind in a :class:`~repro.runtime.context_store.ContextStore`:
-a snapshot of the spec with its plan, and the serialized synthesis context.
-Every later call against the *same example document*:
+Every learn — ``repro learn|migrate|verify``, a service job, or a library
+call — is :func:`learn_incremental` against a
+:class:`~repro.runtime.context_store.ContextStore` (or against no store at
+all, for ``--no-cache``).  It asks the store in order:
 
-1. rehydrates the persisted :class:`~repro.synthesis.context.SynthesisContext`
-   (per-tree facts, column-extractor lists, χi sets, predicate universes);
-2. diffs the edited spec against the best stored snapshot
-   (:func:`~repro.runtime.spec_diff.diff_specs`) to find tables whose
-   programs — and possibly key rules — are still valid;
-3. re-synthesizes only the affected tables (seeding ``--jobs`` workers from
-   the same payload), reusing everything else from the cached plan;
-4. records the new spec + plan + context for the next edit.
+1. **exact hit** — a snapshot of this very spec under this configuration:
+   its plan is returned as it is, after reading one file;
+2. **near hit** — the best stored snapshot of the same example document
+   (:meth:`~repro.runtime.context_store.ContextStore.best_base`), diffed
+   against the spec (:func:`~repro.runtime.spec_diff.diff_specs`) to find
+   tables whose programs — and possibly key rules — are still valid; only
+   the other tables are synthesized (fanned out over ``jobs`` workers);
+3. **miss** — a cold learn of every table.
 
-The learned plan is **byte-identical** to a cold learn of the edited spec
+A near hit or a miss records the new spec + plan as a snapshot for the next
+edit.  The learned plan is **byte-identical** to a cold learn of the spec
 (same pretty-printed programs, same θ-cost, same key rules): every reuse
 decision mirrors a determinism invariant of the learner, never a heuristic.
 See ``docs/runtime.md`` for the architecture; the benchmark's
-``relearn_warm`` workload times the incremental relearn.
+``relearn_warm`` workload times the near-hit relearn.
 
 Example::
 
     from repro.datasets import dblp
     from repro.runtime import ContextStore, learn_incremental
 
-    store = ContextStore("/tmp/ctx")
+    store = ContextStore(".repro-cache")
     spec = dblp.dataset().migration_spec()
     plan, report = learn_incremental(spec, store)     # cold
-    plan, report = learn_incremental(spec, store)     # warm: everything reused
+    plan, report = learn_incremental(spec, store)     # exact hit: everything reused
     assert report.tables_synthesized == []
 """
 
@@ -41,23 +41,22 @@ from typing import Dict, List, Optional
 
 from ..migration.engine import MigrationEngine, MigrationSpec
 from ..synthesis.config import SynthesisConfig
-from .context_store import ContextStore
+from ..synthesis.synthesizer import SynthesisStats
+from .context_store import ContextStore, spec_fingerprint
 from .plan import MigrationPlan
-from .plan_cache import spec_fingerprint
-from .spec_diff import SpecDiff, reusable_plans
+from .spec_diff import SpecDiff, diff_specs, reusable_plans
 
 
 @dataclass
 class IncrementalReport:
-    """What an incremental learn reused, re-learned and why."""
+    """What a learn reused, re-learned and why."""
 
     spec_fingerprint: str
     base_fingerprint: Optional[str] = None
-    """Spec fingerprint of the snapshot the diff ran against (``None`` = cold)."""
+    """Spec fingerprint of the snapshot the diff ran against (``None`` = cold;
+    equal to ``spec_fingerprint`` on an exact hit)."""
 
     diff: Optional[SpecDiff] = None
-    context_hit: bool = False
-    context_stats: Dict[str, int] = field(default_factory=dict)
     tables_total: int = 0
     tables_synthesized: List[str] = field(default_factory=list)
     tables_reused: List[str] = field(default_factory=list)
@@ -68,23 +67,20 @@ class IncrementalReport:
     (universe/χi/bitmatrix — see
     :attr:`~repro.synthesis.context.SynthesisContext.COUNTERS`)."""
 
+    synthesis_stats: Dict[str, SynthesisStats] = field(default_factory=dict)
+    """Per synthesized table: the synthesizer's diagnostics (``learn --verbose``)."""
+
     @property
     def cold(self) -> bool:
         return self.base_fingerprint is None
 
+    @property
+    def exact(self) -> bool:
+        return self.base_fingerprint == self.spec_fingerprint
+
     def describe(self) -> str:
-        """Multi-line cache-hit summary printed by ``repro learn|migrate``."""
+        """Multi-line reuse summary printed by ``repro learn|migrate``."""
         lines: List[str] = []
-        if self.context_hit:
-            context = (
-                "hit ({column_results} column lists, {chi} χi sets, "
-                "{universes} universes)".format(**{**_EMPTY_STATS, **self.context_stats})
-            )
-        elif not self.tables_synthesized:
-            context = "not needed (no tables re-synthesized)"
-        else:
-            context = "miss"
-        lines.append(f"  context cache: {context}")
         if self.cold:
             lines.append("  base spec: none (cold learn, all tables synthesized)")
         else:
@@ -110,7 +106,6 @@ class IncrementalReport:
         return "\n".join(lines)
 
 
-_EMPTY_STATS = {"trees": 0, "column_results": 0, "chi": 0, "universes": 0}
 _EMPTY_COUNTERS = {
     "universe_hits": 0,
     "universe_misses": 0,
@@ -123,44 +118,44 @@ _EMPTY_COUNTERS = {
 
 def learn_incremental(
     spec: MigrationSpec,
-    store: ContextStore,
+    store: Optional[ContextStore],
     *,
     config: Optional[SynthesisConfig] = None,
     jobs: int = 1,
 ) -> "tuple[MigrationPlan, IncrementalReport]":
-    """Learn a plan, reusing as much persisted state as the edit allows.
+    """Learn a plan, reusing as much of the store as the spec allows.
 
     ``config`` defaults to :meth:`SynthesisConfig.for_migration` (the engine
-    default); the context entry is keyed by the configuration, so switching
-    bounds never reuses stale caches.  ``jobs`` fans the re-synthesized
-    tables out over worker processes seeded from the persisted context.
+    default); snapshots are keyed by the configuration, so switching bounds
+    never reuses programs learned under others.  ``jobs`` fans the
+    re-synthesized tables out over worker processes.  ``store=None`` is a
+    cold learn that reads and writes nothing.
     """
     config = config if config is not None else SynthesisConfig.for_migration()
     fingerprint = spec_fingerprint(spec)
     report = IncrementalReport(
         spec_fingerprint=fingerprint, tables_total=spec.schema.num_tables
     )
+    if store is None:
+        base = None
+    else:
+        exact = store.load_snapshot(spec, config)
+        if exact is not None:
+            report.base_fingerprint = fingerprint
+            report.diff = diff_specs(exact.schema, exact.examples, spec)
+            report.tables_reused = sorted(spec.schema.table_names)
+            report.tables_keys_reused = sorted(spec.schema.table_names)
+            return exact.plan, report
+        base = store.best_base(spec, config)
 
     reuse, reuse_keys = {}, set()
-    base = store.best_base(spec, config)
     if base is not None:
         snapshot, diff = base
         report.base_fingerprint = snapshot.fingerprint
         report.diff = diff
         reuse, reuse_keys = reusable_plans(diff, snapshot.plan, spec.schema)
 
-    # The persisted context only helps tables that actually re-synthesize;
-    # when the diff covers everything, skip the (de)serialization round trip
-    # entirely — an exact re-learn then costs only the diff and key checks.
-    needs_synthesis = {t.name for t in spec.schema.tables} - set(reuse)
-    context = None
-    if needs_synthesis:
-        context = store.load_context([spec.example_tree], config)
-        report.context_hit = context is not None
-        if context is not None:
-            report.context_stats = context.stats()
-
-    engine = MigrationEngine(config, jobs=jobs, context=context)
+    engine = MigrationEngine(config, jobs=jobs)
     start = time.perf_counter()
     programs, _ = engine.learn(spec, reuse=reuse, reuse_keys=reuse_keys)
     report.learn_seconds = time.perf_counter() - start
@@ -168,12 +163,16 @@ def learn_incremental(
     report.tables_reused = sorted(reuse)
     report.tables_keys_reused = sorted(reuse_keys)
     report.tables_synthesized = sorted(set(programs) - set(reuse))
+    report.synthesis_stats = {
+        name: programs[name].synthesis.stats
+        for name in report.tables_synthesized
+        if programs[name].synthesis.stats is not None
+    }
 
     plan = MigrationPlan.from_programs(spec.schema, programs)
     plan.metadata["spec_fingerprint"] = fingerprint
     if report.base_fingerprint is not None:
         plan.metadata["incremental_base"] = report.base_fingerprint
-    store.record_spec(spec, plan, config)
-    if needs_synthesis:
-        store.store_context(engine.synthesizer.context)
+    if store is not None:
+        store.record_spec(spec, plan, config)
     return plan, report

@@ -9,7 +9,7 @@ dropped, so a plan is small, JSON-serializable and independent of the example
 document it was learned from.
 
 Plans are the currency of the runtime layer: :func:`MigrationPlan.learn`
-produces one, :mod:`repro.runtime.plan_cache` stores them on disk keyed by a
+produces one, :mod:`repro.runtime.context_store` stores them on disk keyed by a
 spec fingerprint, and :mod:`repro.runtime.executor` /
 :mod:`repro.runtime.streaming` execute them against fresh datasets without
 ever touching the synthesizer again.

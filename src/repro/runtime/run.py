@@ -7,8 +7,8 @@ target work (:func:`resolve_run` → :class:`RunRequest`), an opened target
 with an overwrite policy (:func:`open_target` → :class:`Target`), a driven
 execution that discards the target on any failure (:func:`run_plan`), and a
 verdict on a finished target (:func:`verify_target`).  The CLI and the
-service differ only in the data they pass (:class:`RunDefaults`, a plan
-memo, a checkpoint).
+service differ only in the data they pass (:class:`RunDefaults`, the spec
+store's directory, a plan memo, a checkpoint).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, MutableMapping, Optional, Tuple
 from ..codegen.sql_gen import generate_sql_dump
 from ..dsl.serialize import SerializationError
 from ..relational.schema import SchemaError
+from ..synthesis.config import SynthesisConfig
 from .backends import (
     BACKEND_NAMES,
     OUTPUT_KIND,
@@ -32,12 +33,11 @@ from .backends import (
     create_backend,
 )
 from .backends.null import NullBackend
-from .context_store import ContextStore
+from .context_store import ContextStore, spec_fingerprint
 from .executor import ExecutionReport, execute_plan
 from .faults import FaultError, FaultPlan
-from .incremental import learn_incremental
+from .incremental import IncrementalReport, learn_incremental
 from .plan import MigrationPlan
-from .plan_cache import PlanCache, spec_fingerprint
 from .sharded import shard_execute
 from .spec import Spec, UsageError
 from .streaming import DEFAULT_CHUNK_SIZE, stream_execute
@@ -54,22 +54,19 @@ def acquire_plan(
     spec: Spec,
     overrides: Dict[str, Any],
     *,
-    plan_cache: Optional[PlanCache],
+    store_dir: Optional[str],
     allow_learn: bool,
     memo: Optional[MutableMapping[str, MigrationPlan]] = None,
-    context_dir: Optional[str] = None,
-    learn: Callable[..., MigrationPlan] = MigrationPlan.learn,
-    say: Callable[[str], None] = lambda line: None,
+    say: Callable[[IncrementalReport], None] = lambda report: None,
 ) -> Tuple[MigrationPlan, str]:
     """The plan for a request, and where it came from.
 
     In order: the file ``overrides["plan"]``; ``memo`` (spec fingerprint →
-    plan, kept warm by a resident caller); ``plan_cache`` on disk (``None``
-    disables it); then, with ``allow_learn``, synthesis — incremental against
-    the context store in ``context_dir`` when ``"incremental"`` is set
-    (override or spec key), else ``learn(migration_spec, jobs=...)`` — whose
-    result goes into ``plan_cache`` and ``memo``.  ``say`` gets the
-    incremental reuse report.
+    plan, kept warm by a resident caller); then the spec store in
+    ``store_dir`` (``None``: no store, nothing read or written).  Without
+    ``allow_learn`` only the store's exact hit is accepted; with it,
+    :func:`~repro.runtime.incremental.learn_incremental` answers — exact
+    hit, near hit or cold learn — and ``say`` gets its report.
     """
     if overrides.get("plan"):
         path = spec.resolve(str(overrides["plan"]))
@@ -86,39 +83,36 @@ def acquire_plan(
         return plan, f"loaded from {path}"
     migration_spec = spec.migration_spec()
     fingerprint = spec_fingerprint(migration_spec)
-    plan, provenance = None, ""
     if memo is not None and fingerprint in memo:
-        plan, provenance = memo[fingerprint], "warm (daemon memory)"
-    elif plan_cache is not None:
-        plan = plan_cache.load(migration_spec)
-        provenance = f"cache hit ({plan_cache.path_for(fingerprint)})"
-    if plan is None:
-        if not allow_learn:
+        return memo[fingerprint], "warm (daemon memory)"
+    store = ContextStore(store_dir) if store_dir is not None else None
+    config = SynthesisConfig.for_migration()
+    total = migration_spec.schema.num_tables
+    hit = f"cache hit: {total}/{total} tables reused"
+    if not allow_learn:
+        snapshot = store.load_snapshot(migration_spec, config) if store else None
+        if snapshot is None:
             raise UsageError(
                 "no plan for this spec: name a plan file (--plan / \"plan\") or "
                 "learn the spec first (`repro learn`, a learn or migrate job)"
             )
+        plan, provenance = snapshot.plan, f"{hit} ({snapshot.path})"
+    else:
         jobs = overrides.get("jobs")
         jobs = spec.get_int("jobs", 1) if jobs is None else int(jobs)
         if jobs < 0:
             raise UsageError(f"--jobs must be >= 0 (got {jobs})")
-        if overrides.get("incremental") or spec.get("incremental"):
-            plan, report = learn_incremental(migration_spec, ContextStore(context_dir), jobs=jobs)
-            say(report.describe())
-            learned = len(report.tables_synthesized)
-            provenance = (
-                f"incremental ({learned}/{report.tables_total} tables synthesized)"
-                if learned
-                else "incremental (everything reused)"
-            ) + f", store: {context_dir}"
+        plan, report = learn_incremental(migration_spec, store, config=config, jobs=jobs)
+        say(report)
+        if report.exact:
+            provenance = f"{hit} ({store.snapshot_path(migration_spec, config)})"
         else:
-            plan = learn(migration_spec, jobs=jobs)
             provenance = (
-                "synthesized" if plan_cache is not None else "synthesized (cache disabled)"
+                f"learned: {len(report.tables_synthesized)}/{total} tables synthesized, "
+                f"{len(report.tables_reused)}/{total} reused"
             )
-        plan.source_format = spec.format
-        if plan_cache is not None:
-            provenance += f" and cached ({plan_cache.store(migration_spec, plan)})"
+            provenance += f", stored in {store_dir}" if store else " (cache disabled)"
+    plan.source_format = spec.format
     if memo is not None:
         memo[fingerprint] = plan
     return plan, provenance

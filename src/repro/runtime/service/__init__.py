@@ -1,8 +1,8 @@
 """The migration service: a resident daemon with operations-grade jobs.
 
 ``repro serve --port N --state-dir D`` runs a long-lived process that keeps
-one warm :class:`~repro.runtime.plan_cache.PlanCache` +
-:class:`~repro.runtime.context_store.ContextStore` across jobs and executes
+one in-memory plan memo and one spec store
+(:class:`~repro.runtime.context_store.ContextStore`) across jobs and executes
 learn/run/migrate/verify jobs concurrently on a bounded worker pool, over a
 local HTTP/JSON API (stdlib ``http.server`` — no new dependencies).
 

@@ -73,7 +73,7 @@ class Job:
     report: Optional[Dict[str, object]] = None
     progress: Dict[str, object] = field(default_factory=dict)
     provenance: Optional[str] = None
-    """Where the plan came from (warm memo, cache hit, synthesized, ...)."""
+    """Where the plan came from (warm memo, cache hit, learned, ...)."""
 
     resumes: int = 0
     """How many times this job has been re-enqueued after an interruption."""

@@ -7,12 +7,11 @@ job params where the CLI has flags.  What lives here is job bookkeeping.
 One :class:`JobRunner` lives inside the daemon process and owns everything a
 single CLI invocation would have had to rebuild from scratch:
 
-* a warm :class:`~repro.runtime.plan_cache.PlanCache` *and* an in-memory plan
-  memo — the second ``migrate`` job for the same spec costs a dictionary
-  lookup, not a disk read, and never a synthesis;
-* a warm :class:`~repro.runtime.context_store.ContextStore` for
-  ``"incremental": true`` jobs, so edited specs re-synthesize only the
-  affected tables;
+* an in-memory plan memo in front of the spec store
+  (:class:`~repro.runtime.context_store.ContextStore`, ``<state-dir>/learn-cache``)
+  — the second ``migrate`` job for the same spec costs a dictionary lookup,
+  not a disk read, and never a synthesis; a job for an edited spec
+  re-synthesizes only the affected tables;
 * a :class:`~concurrent.futures.ThreadPoolExecutor` capping concurrent jobs
   (the *shard* parallelism inside one job still uses processes via
   :func:`~repro.runtime.sharded.shard_execute`);
@@ -37,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from ..plan import MigrationPlan
-from ..plan_cache import PlanCache
 from ..run import RunDefaults, acquire_plan, resolve_run, run_plan, verify_target
 from ..sharded import ShardDegradedError
 from ..spec import Spec
@@ -59,7 +57,7 @@ class JobRunner:
     ----------
     state_dir:
         Root of the daemon's durable state: ``jobs/`` (records),
-        ``plan-cache/``, ``context/``, ``checkpoints/<job-id>/`` and
+        ``learn-cache/`` (the spec store), ``checkpoints/<job-id>/`` and
         ``outputs/``.
     max_workers:
         Concurrent jobs (default 2).  Each job may itself fan out into
@@ -70,18 +68,16 @@ class JobRunner:
         self.state_dir = os.path.abspath(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
         self.store = JobStore(os.path.join(self.state_dir, "jobs"))
-        self.plan_cache = PlanCache(os.path.join(self.state_dir, "plan-cache"))
-        self.context_dir = os.path.join(self.state_dir, "context")
         self.outputs_dir = os.path.join(self.state_dir, "outputs")
         os.makedirs(self.outputs_dir, exist_ok=True)
         self._plans: Dict[str, MigrationPlan] = {}
         #: acquire_plan with the daemon's warm state: explicit file > plan
-        #: memo > disk cache > (incremental against ``context/`` | cold) learn.
+        #: memo > the spec store in ``learn-cache/`` (exact hit, near hit or
+        #: cold learn).
         self._acquire_plan = functools.partial(
             acquire_plan,
-            plan_cache=self.plan_cache,
+            store_dir=os.path.join(self.state_dir, "learn-cache"),
             memo=self._plans,
-            context_dir=self.context_dir,
         )
         self._cancel_events: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()

@@ -1,9 +1,9 @@
 """The spec-diff layer: what changed between two migration specs?
 
-Schemas evolve one table or column at a time, but the plan cache is
-all-or-nothing: any edit changes the spec fingerprint and forces a full
-re-synthesis.  This module compares an edited spec against a cached one and
-computes, per table, exactly how much of the cached plan is still valid:
+Schemas evolve one table or column at a time, but any edit changes the spec
+fingerprint, so the spec store's exact hit misses.  This module compares an
+edited spec against a stored one and computes, per table, exactly how much
+of the stored plan is still valid:
 
 * **program reuse** — a table's synthesized program depends only on the
   example tree and the table's *data rows* (the example rows projected onto
@@ -133,7 +133,7 @@ class SpecDiff:
 
 def _rows_key(rows: Sequence[Row]) -> str:
     """Exact (repr-level) row-list identity — ``True`` and ``1`` stay distinct,
-    matching how :func:`~repro.runtime.plan_cache.spec_fingerprint` hashes rows."""
+    matching how :func:`~repro.runtime.context_store.spec_fingerprint` hashes rows."""
     return repr([tuple(row) for row in rows])
 
 

@@ -171,18 +171,6 @@ class SynthesisContext:
         """Every tree the context has seen, in first-seen order."""
         return [facts.tree for facts in self._facts.values()]
 
-    def stats(self) -> Dict[str, int]:
-        """Cache sizes and hit/miss counters, reported by the CLI summaries."""
-        sizes = {
-            "trees": len(self._facts),
-            "column_results": len(self.column_results),
-            "chi": len(self.chi),
-            "universes": len(self.universes),
-            "predicate_sat": len(self.predicate_sat),
-        }
-        sizes.update(self.counters)
-        return sizes
-
     def count(self, name: str, delta: int = 1) -> None:
         """Bump a cache hit/miss counter (see :attr:`COUNTERS`)."""
         self.counters[name] = self.counters.get(name, 0) + delta

@@ -1,11 +1,19 @@
-"""Lossless JSON serialization of :class:`SynthesisContext` artifacts.
+"""Lossless JSON serialization of :class:`SynthesisContext` artifacts, and the
+configuration fingerprint.
 
-The plan cache makes "learn once, run many" real for *identical* specs; this
-module is the first half of making it real for *edited* specs.  Everything a
-:class:`~repro.synthesis.context.SynthesisContext` has learned that is a pure
-function of (example trees, configuration) gets a stable wire format in the
-``dsl/serialize.py`` idiom, so a later session — or a ``--jobs`` worker
-process — can be seeded with the caches instead of recomputing them:
+:func:`config_fingerprint` keys the runtime's spec store
+(:class:`~repro.runtime.context_store.ContextStore`): programs learned under
+other search bounds are never reused.  The context codec
+(:func:`serialize_context` / :func:`deserialize_context`, and the
+``context_dumps`` / ``context_loads`` string forms) has no caller in the
+learn path: the spec store reuses whole table programs instead, and a
+persisted context made relearning slower.  It is kept, with its round-trip
+oracles, because the benchmark's ``relearn_warm`` workload times it.
+
+Everything a :class:`~repro.synthesis.context.SynthesisContext` has learned
+that is a pure function of (example trees, configuration) gets a stable wire
+format in the ``dsl/serialize.py`` idiom, so a synthesizer can be seeded with
+the caches instead of recomputing them:
 
 * per-tree facts — the instantiated operator alphabet, the document
   constants, and the ``value → node`` equality classes used for DFA
@@ -32,8 +40,8 @@ rebuild for the tables actually re-synthesized), the column-signature memo
 (one column evaluation per entry), and the per-tree evaluation caches
 (derived data).  Because every serialized
 cache is a deterministic function of its key, a rehydrated context produces
-**byte-identical programs** to a cold run — the property enforced by
-``tests/test_incremental.py``.
+**byte-identical programs** to a cold run — the oracle of the benchmark's
+``relearn_warm`` workload.
 
 The round-trip property — rehydrating a payload against the same trees
 reproduces every cache dictionary exactly — is enforced by
@@ -113,9 +121,9 @@ def config_from_json(payload: Json) -> SynthesisConfig:
 def config_fingerprint(config: SynthesisConfig) -> str:
     """A stable hex digest identifying a configuration's search bounds.
 
-    Context artifacts depend on the bounds (a tighter cap learns shorter
+    Learned artifacts depend on the bounds (a tighter cap learns shorter
     lists), so the :class:`~repro.runtime.context_store.ContextStore` keys
-    every entry by this digest alongside the tree fingerprints.
+    every spec snapshot by this digest alongside the spec fingerprint.
     """
     canonical = json.dumps(config_to_json(config), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

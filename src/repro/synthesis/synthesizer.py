@@ -154,45 +154,36 @@ def resolve_jobs(jobs: int) -> int:
 
 
 #: Per-process state of a synthesis pool worker: its own unpickled example
-#: trees and one long-lived synthesizer seeded from the parent's context.
+#: trees and one long-lived synthesizer, whose context the worker builds
+#: from those trees.
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _init_worker(trees_bytes: bytes, config: SynthesisConfig, context_payload) -> None:
+def _init_worker(trees_bytes: bytes, config: SynthesisConfig) -> None:
     """Initialize one pool worker.
 
-    The worker rehydrates the parent's context artifacts (column results, χi
-    sets, universes, per-tree facts) against its own unpickled trees, so its
-    work starts from the caches the serial run would have.  Entries the
-    worker learns are not shipped back: the payloads would dwarf the results.
+    The worker's synthesizer starts from an empty context and fills it from
+    its own trees; what it learns is shared by every task the worker runs
+    and is not shipped back: the payloads would dwarf the results.
     """
-    trees = pickle.loads(trees_bytes)
-    context = None
-    if context_payload is not None:
-        from .serialize import deserialize_context
-
-        context = deserialize_context(context_payload, trees)
-    _WORKER_STATE["trees"] = trees
-    _WORKER_STATE["synthesizer"] = Synthesizer(config, context=context)
+    _WORKER_STATE["trees"] = pickle.loads(trees_bytes)
+    _WORKER_STATE["synthesizer"] = Synthesizer(config)
 
 
 def synthesis_pool(
-    trees: Sequence[HDT], config: SynthesisConfig, context: SynthesisContext, workers: int
+    trees: Sequence[HDT], config: SynthesisConfig, workers: int
 ) -> ProcessPoolExecutor:
-    """A process pool whose workers each hold ``trees`` and a synthesizer seeded
-    from ``context``; entry points read them back with :func:`worker_state`.
+    """A process pool whose workers each hold ``trees`` and one synthesizer;
+    entry points read them back with :func:`worker_state`.
 
     Both ``jobs`` paths use it: the candidate-ψ stage of one task
     (:class:`Synthesizer`) and the per-table stage of a migration
     (:class:`~repro.migration.engine.MigrationEngine`).
     """
-    from .serialize import serialize_context
-
-    context_payload = serialize_context(context) if context.trees() else None
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(pickle.dumps(list(trees)), config, context_payload),
+        initargs=(pickle.dumps(list(trees)), config),
     )
 
 
@@ -437,16 +428,15 @@ class Synthesizer:
         Futures are submitted in enumeration order and yielded in the same
         order, keeping a window of ``2 × workers`` in flight; the replay loop
         consuming this generator therefore sees exactly the sequence the
-        serial path would have produced.  Workers are seeded with the
-        parent's serialized context (:func:`synthesis_pool`), so χi sets and
-        universes learned before the fan-out are shared; work left in the
-        window when a stop condition fires is cancelled on close.
+        serial path would have produced.  Each worker builds its own context
+        (:func:`synthesis_pool`); work left in the window when a stop
+        condition fires is cancelled on close.
         """
         workers = self.workers
         trees = [tree for tree, _ in predicate_examples]
         rows_list = [list(rows) for _, rows in predicate_examples]
         window = max(2 * workers, workers + 1)
-        pool = synthesis_pool(trees, self.config, self.context, workers)
+        pool = synthesis_pool(trees, self.config, workers)
         pending = deque()
         try:
             exhausted = False

@@ -61,27 +61,9 @@ def _signature(result):
 
 
 # --------------------------------------------------------------------------- #
-# Property: caching and parallelism never change the learned program
+# Property: parallelism never changes the learned program (that the caches
+# never do is test_vectorized_synthesis.py's engine-vs-reference property)
 # --------------------------------------------------------------------------- #
-
-
-def test_property_cached_equals_uncached_on_random_tasks(monkeypatch):
-    """≥100 random tasks: the engine with its candidate caches and the
-    uncached seed algorithms learn identical results."""
-    rnd = random.Random(20260808)
-    tasks = [_random_task(rnd) for _ in range(110)]
-    cached = [
-        synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
-        for trial, (tree, rows) in enumerate(tasks)
-    ]
-    use_reference_engine(monkeypatch)
-    solved = 0
-    for trial, (tree, rows) in enumerate(tasks):
-        uncached = synthesize([(tree, rows)], config=FAST, name=f"t{trial}")
-        assert _signature(cached[trial]) == _signature(uncached), trial
-        if cached[trial].success:
-            solved += 1
-    assert solved >= 80
 
 
 def test_property_parallel_equals_serial_on_random_tasks():

@@ -105,7 +105,7 @@ def test_both_front_ends_refuse_before_synthesis(
     assert job.provenance is None  # refused before any plan work
     state = runner.state_dir
     assert _files_under(os.path.join(state, "outputs")) == []
-    assert _files_under(os.path.join(state, "plan-cache")) == []
+    assert _files_under(os.path.join(state, "learn-cache")) == []
     assert not os.path.exists(os.path.join(state, "out.db")) and not cache.exists()
 
 

@@ -1,19 +1,23 @@
-"""Incremental synthesis: spec diffing, the context store, and byte-identity.
+"""The one learn path: spec diffing, the spec store, and byte-identity.
 
-The load-bearing property: an incremental learn (reused programs + rehydrated
-context + re-synthesis of the affected tables) must produce a plan
-**byte-identical** to a cold learn of the same edited spec — same programs,
-same θ-cost, same key rules.  The tests drive every single-edit class the
-diff layer recognizes (add/remove/rename table, add/remove column, key-rule
-change) plus randomized single edits, in both serial and ``--jobs`` mode.
+The load-bearing property: a learn through the spec store (reused programs +
+re-synthesis of the affected tables) must produce a plan **byte-identical**
+to a cold learn of the same edited spec — same programs, same θ-cost, same
+key rules.  The tests drive every single-edit class the diff layer
+recognizes (add/remove/rename table, add/remove column, key-rule change)
+plus randomized single edits, in both serial and ``--jobs`` mode, and the
+store through the CLI.
 """
 
 import json
+import os
 import random
 
 import pytest
 
-from repro.datasets import dblp
+from repro.datasets import dblp, imdb, yelp
+from repro.dsl.serialize import schema_to_json
+from repro.hdt import hdt_to_xml
 from repro.migration.engine import MigrationSpec, TableExampleSpec
 from repro.relational.schema import DatabaseSchema, ForeignKey, TableSchema
 from repro.runtime import (
@@ -23,7 +27,9 @@ from repro.runtime import (
     learn_incremental,
     reusable_plans,
 )
+from repro.runtime.cli import main as cli_main
 from repro.synthesis.config import SynthesisConfig
+from repro.synthesis.synthesizer import Synthesizer
 
 CONFIG = SynthesisConfig.for_migration()
 
@@ -254,33 +260,14 @@ def test_reusable_plans_rewrites_renamed_fk_targets(full_spec, cold_plan):
 
 
 # --------------------------------------------------------------------------- #
-# The context store
+# The spec store
 # --------------------------------------------------------------------------- #
-
-
-def test_store_context_round_trip_and_config_keying(tmp_path, full_spec):
-    store = ContextStore(str(tmp_path))
-    plan, report = learn_incremental(full_spec, store, config=CONFIG)
-    assert report.cold and len(report.tables_synthesized) == len(plan.tables)
-    context = store.load_context([full_spec.example_tree], CONFIG)
-    assert context is not None
-    assert context.stats()["column_results"] > 0
-    # Different bounds → different content address → miss.
-    other = SynthesisConfig.fast()
-    assert store.load_context([full_spec.example_tree], other) is None
 
 
 def test_store_treats_corruption_as_miss(tmp_path, full_spec):
     store = ContextStore(str(tmp_path))
     learn_incremental(full_spec, store, config=CONFIG)
-    path = store.context_path(store.context_key([full_spec.example_tree], CONFIG))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{not json")
-    assert store.load_context([full_spec.example_tree], CONFIG) is None
-    import os
-
-    assert not os.path.exists(path)
-    # Corrupt snapshots read as misses too.
+    # Corrupt snapshots read as misses.
     snapshot_path = store.snapshot_path(full_spec, CONFIG)
     with open(snapshot_path, "w", encoding="utf-8") as handle:
         handle.write("]")
@@ -349,7 +336,6 @@ def test_add_one_table_synthesizes_only_that_table(tmp_path, full_spec, cold_pla
     learn_incremental(drop_table(full_spec, victim), store, config=CONFIG)
     plan, report = learn_incremental(full_spec, store, config=CONFIG)
     assert report.tables_synthesized == [victim]
-    assert report.context_hit
     assert plan_body(plan) == plan_body(cold_plan)
 
 
@@ -383,7 +369,6 @@ def test_incremental_with_jobs_seeds_workers(tmp_path, full_spec, cold_plan):
     learn_incremental(base, store, config=CONFIG)
     plan, report = learn_incremental(full_spec, store, config=CONFIG, jobs=2)
     assert sorted(report.tables_synthesized) == sorted([victim, table])
-    assert report.context_hit
     assert plan_body(plan) == plan_body(cold_plan)
 
 
@@ -406,3 +391,109 @@ def test_property_random_single_edits_are_byte_identical(tmp_path, full_spec):
         plan, report = learn_incremental(edited, store, config=CONFIG)
         cold = MigrationPlan.learn(edited)
         assert plan_body(plan) == plan_body(cold), (kind, report.tables_synthesized)
+
+
+@pytest.mark.parametrize("module", [imdb, yelp], ids=["imdb", "yelp"])
+def test_drop_table_and_drop_column_are_byte_identical_beyond_dblp(tmp_path, module):
+    """One drop-table and one drop-column edit per other Table 2 spec:
+    learned through the store primed with the full spec, each plan equals a
+    cold learn of the edited spec."""
+    spec = module.dataset().migration_spec()
+    rnd = random.Random(20260727)
+    store = ContextStore(str(tmp_path))
+    learn_incremental(spec, store, config=CONFIG)
+    edits = [
+        drop_table(spec, rnd.choice(removable_tables(spec))),
+        drop_column(spec, *rnd.choice(droppable_columns(spec))),
+    ]
+    for edited in edits:
+        plan, report = learn_incremental(edited, store, config=CONFIG)
+        assert not report.cold
+        assert plan_body(plan) == plan_body(MigrationPlan.learn(edited)), report.tables_synthesized
+
+
+# --------------------------------------------------------------------------- #
+# The store through the CLI
+# --------------------------------------------------------------------------- #
+
+
+def _write_spec(tmp_path, spec, name):
+    """``spec`` as an explicit-mode spec file whose store is ``tmp_path/cache``."""
+    (tmp_path / "example.xml").write_text(hdt_to_xml(spec.example_tree))
+    payload = {
+        "format": "xml",
+        "schema": schema_to_json(spec.schema),
+        "example_document": "example.xml",
+        "examples": {e.table: [list(row) for row in e.rows] for e in spec.table_examples},
+        "cache_dir": str(tmp_path / "cache"),
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _saved_body(path):
+    plan = MigrationPlan.load(str(path))
+    assert plan.source_format == "xml"
+    plan.source_format = None
+    return plan_body(plan)
+
+
+def _files_under(directory):
+    return sorted(
+        os.path.join(root, name) for root, _, names in os.walk(directory) for name in names
+    )
+
+
+def test_cli_learns_through_the_one_spec_store(tmp_path, capsys, monkeypatch, full_spec, cold_plan):
+    victim = removable_tables(full_spec)[-1]
+    full = _write_spec(tmp_path, full_spec, "full")
+    edited = _write_spec(tmp_path, drop_table(full_spec, victim), "edited")
+    synthesized = []
+    synthesize = Synthesizer.synthesize
+
+    def spy(self, task):
+        synthesized.append(task.name)
+        return synthesize(self, task)
+
+    monkeypatch.setattr(Synthesizer, "synthesize", spy)
+
+    # 1. A cold learn synthesizes every table.
+    assert cli_main(["learn", "--spec", full, "--plan-out", str(tmp_path / "cold.json")]) == 0
+    assert len(synthesized) == 9
+    assert "learned: 9/9 tables synthesized, 0/9 reused" in capsys.readouterr().out
+    assert _saved_body(tmp_path / "cold.json") == plan_body(cold_plan)
+    stored = _files_under(tmp_path / "cache")
+    assert len(stored) == 1 and stored[0].endswith(".spec.json")
+
+    # 2. The same spec again: an exact hit, no synthesis at all.
+    def no_synthesis(self, task):  # pragma: no cover - failure path
+        raise AssertionError("an exact hit must not synthesize")
+
+    monkeypatch.setattr(Synthesizer, "synthesize", no_synthesis)
+    assert cli_main(["learn", "--spec", full]) == 0
+    assert "plan: cache hit: 9/9 tables reused" in capsys.readouterr().out
+    monkeypatch.setattr(Synthesizer, "synthesize", spy)
+
+    # 3. The spec minus one table, then the full spec, into a fresh store:
+    # only that table is synthesized (--verbose shows its diagnostics alone),
+    # and the plan is the cold one.
+    fresh = str(tmp_path / "fresh")
+    assert cli_main(["learn", "--spec", edited, "--cache-dir", fresh]) == 0
+    synthesized.clear()
+    capsys.readouterr()
+    warm = str(tmp_path / "warm.json")
+    assert cli_main(["learn", "--spec", full, "--cache-dir", fresh, "--plan-out", warm, "--verbose"]) == 0
+    assert synthesized == [f"table:{victim}"]
+    out = capsys.readouterr().out
+    assert "learned: 1/9 tables synthesized, 8/9 reused" in out
+    assert out.count("synthesis diagnostics for ") == 1 and f"diagnostics for {victim}:" in out
+    assert _saved_body(warm) == plan_body(cold_plan)
+
+    # 4. --no-cache learns cold and leaves no store behind.
+    synthesized.clear()
+    none = tmp_path / "none"
+    assert cli_main(["learn", "--spec", full, "--no-cache", "--cache-dir", str(none)]) == 0
+    assert len(synthesized) == 9
+    assert "(cache disabled)" in capsys.readouterr().out
+    assert not none.exists() and _files_under(tmp_path / "cache") == stored

@@ -1,4 +1,4 @@
-"""Tests for the migration runtime: plans, backends, streaming, cache, CLI."""
+"""Tests for the migration runtime: plans, backends, streaming, spec store, CLI."""
 
 import json
 import os
@@ -12,9 +12,9 @@ from repro.migration import MigrationEngine, MigrationSpec, TableExampleSpec
 from repro.relational import ColumnDef, DatabaseSchema, ForeignKey, TableSchema
 from repro.relational.schema import SchemaError
 from repro.runtime import (
+    ContextStore,
     MemoryBackend,
     MigrationPlan,
-    PlanCache,
     SQLiteBackend,
     Spec,
     acquire_plan,
@@ -29,6 +29,7 @@ from repro.runtime import (
     stream_execute,
 )
 from repro.runtime.cli import main as cli_main
+from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.synthesizer import Synthesizer
 
 
@@ -370,19 +371,23 @@ def test_iter_json_chunks_top_level_array():
 
 
 # --------------------------------------------------------------------------- #
-# Plan cache
+# The spec store's exact hit (the plan cache it replaces)
 # --------------------------------------------------------------------------- #
+
+MIGRATION_CONFIG = SynthesisConfig.for_migration()
 
 
 def test_plan_cache_round_trip(tmp_path, library_plan):
     spec = _library_spec(_library_tree())
-    cache = PlanCache(str(tmp_path / "cache"))
-    assert cache.load(spec) is None
-    cache.store(spec, library_plan)
-    loaded = cache.load(spec)
-    assert loaded is not None
-    assert loaded.tables.keys() == library_plan.tables.keys()
-    assert loaded.metadata["spec_fingerprint"] == spec_fingerprint(spec)
+    store = ContextStore(str(tmp_path / "cache"))
+    assert store.load_snapshot(spec, MIGRATION_CONFIG) is None
+    store.record_spec(spec, library_plan, MIGRATION_CONFIG)
+    snapshot = store.load_snapshot(spec, MIGRATION_CONFIG)
+    assert snapshot is not None
+    assert snapshot.plan == library_plan
+    assert snapshot.fingerprint == spec_fingerprint(spec)
+    # Another configuration's snapshot is another file: a miss.
+    assert store.load_snapshot(spec, SynthesisConfig.fast()) is None
 
 
 def test_spec_fingerprint_tracks_learnable_content():
@@ -409,11 +414,11 @@ def test_spec_fingerprint_distinguishes_nesting():
 
 def test_plan_cache_treats_corrupt_entry_as_miss(tmp_path, library_plan):
     spec = _library_spec(_library_tree())
-    cache = PlanCache(str(tmp_path / "cache"))
-    path = cache.store(spec, library_plan)
+    store = ContextStore(str(tmp_path / "cache"))
+    path = store.record_spec(spec, library_plan, MIGRATION_CONFIG)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("not json {")  # truncated/corrupt cache entry
-    assert cache.load(spec) is None  # miss, not a crash
+    assert store.load_snapshot(spec, MIGRATION_CONFIG) is None  # miss, not a crash
     assert not os.path.exists(path)  # corrupt entry evicted
 
 
@@ -458,17 +463,20 @@ def test_plan_source_format_round_trips(tmp_path, library_plan):
 
 def test_plan_cache_acquire_plan_synthesizes_once(tmp_path, monkeypatch):
     spec = Spec.load(_write_cli_fixture(tmp_path))
-    cache = PlanCache(str(tmp_path / "cache"))
-    first, provenance = acquire_plan(spec, {}, plan_cache=cache, allow_learn=True)
-    assert provenance.startswith("synthesized and cached")
+    store_dir = str(tmp_path / "cache")
+    first, provenance = acquire_plan(spec, {}, store_dir=store_dir, allow_learn=True)
+    assert provenance == f"learned: 2/2 tables synthesized, 0/2 reused, stored in {store_dir}"
 
     def _no_synthesis(self, task):  # pragma: no cover - failure path
         raise AssertionError("cache hit must not re-synthesize")
 
     monkeypatch.setattr(Synthesizer, "synthesize", _no_synthesis)
-    second, provenance = acquire_plan(spec, {}, plan_cache=cache, allow_learn=True)
-    assert provenance.startswith("cache hit")
-    assert second.tables.keys() == first.tables.keys()
+    second, provenance = acquire_plan(spec, {}, store_dir=store_dir, allow_learn=True)
+    assert provenance.startswith("cache hit: 2/2 tables reused")
+    assert second == first
+    # A run that may not learn accepts the exact hit, and only that.
+    third, provenance = acquire_plan(spec, {}, store_dir=store_dir, allow_learn=False)
+    assert provenance.startswith("cache hit") and third == first
 
 
 # --------------------------------------------------------------------------- #
